@@ -25,6 +25,7 @@ from .experiments import (
     run_current_sweep,
     run_xi_sweep,
     run_perturbation_study,
+    worker_count,
     CurrentSweepSpec,
 )
 from .spun import grid_for, propagate_trajectory
@@ -321,6 +322,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        try:
+            worker_count()
+        except ValueError as exc:
+            raise ConfigError("must be a positive integer", "FOCSIM_THREADS") from exc
         cfg = load_config(args.config) if args.config else default_config()
         cfg = _apply_overrides(cfg, args)
         if args.command == "print-config":

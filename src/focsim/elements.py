@@ -3,7 +3,8 @@
 The sensor is a single-ended loop: polarizer, 45 degree splice, quarter-wave
 plate, sensing coil, mirror, then the same elements in reverse. All element
 constructors return plain Jones matrices; the chain assembly lives in
-roundtrip_field.
+roundtrip_fields, which evaluates a whole current sweep as one stacked
+product (roundtrip_field is its single-angle case).
 
 Two conventions matter and are easy to get wrong:
 
@@ -22,9 +23,11 @@ Two conventions matter and are easy to get wrong:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
 from .constants import constant
 from .errors import FringeNullError, RetardationSingularityError
@@ -32,12 +35,12 @@ from .jones import (
     IDENTITY,
     JonesMatrix,
     JonesVector,
-    intensity,
     jones_vector,
     rotator,
 )
 
 SQRT_HALF = math.sqrt(0.5)
+FRINGE_FLOOR = 1e-15  # ideal intensity below this is a fringe null
 
 
 def polarizer() -> JonesMatrix:
@@ -237,28 +240,63 @@ class FocsScenario:
     converter_override: tuple[JonesMatrix, JonesMatrix] | None = None
 
     def converter_pair(self) -> tuple[JonesMatrix, JonesMatrix]:
-        if self.converter_override is not None:
-            return self.converter_override
-        if self.waveplate is None or self.waveplate.is_nominal():
-            return qwp_ideal_in(), qwp_ideal_out()
-        fwd = mount_at_45deg(qwp_imperfect(self.waveplate))
-        return fwd, np.conj(fwd)
+        return converter_pair(self.waveplate, self.converter_override)
 
 
-def roundtrip_field(s: FocsScenario, e_in: JonesVector | None = None) -> JonesVector:
-    """Field at the detector after the full reflective pass."""
+def converter_pair(
+    waveplate: ImperfectWaveplate | None = None,
+    override: tuple[JonesMatrix, JonesMatrix] | None = None,
+) -> tuple[JonesMatrix, JonesMatrix]:
+    """Forward and return converter matrices of the chain.
+
+    An injected override wins; otherwise a non-nominal plate is mounted at
+    45 degrees, and no plate (or a nominal one) gives the ideal printed pair.
+    """
+    if override is not None:
+        return override
+    if waveplate is None or waveplate.is_nominal():
+        return qwp_ideal_in(), qwp_ideal_out()
+    fwd = mount_at_45deg(qwp_imperfect(waveplate))
+    return fwd, np.conj(fwd)
+
+
+def _rotator_stack(angles_rad: Sequence[float]) -> npt.NDArray[np.complex128]:
+    """(n, 2, 2) stack of rotator(a) for every angle a.
+
+    Built from math.cos/math.sin like rotator itself, so each slice is
+    bit-identical to it; numpy's vectorized sin/cos may differ by an ulp.
+    """
+    c = np.array([math.cos(a) for a in angles_rad], dtype=np.float64)
+    s = np.array([math.sin(a) for a in angles_rad], dtype=np.float64)
+    m = np.empty((len(c), 2, 2), dtype=np.complex128)
+    m[:, 0, 0] = m[:, 1, 1] = c
+    m[:, 0, 1] = -s
+    m[:, 1, 0] = s
+    return m
+
+
+def roundtrip_fields(
+    converter: tuple[JonesMatrix, JonesMatrix],
+    f_rad: Sequence[float],
+    e_in: JonesVector | None = None,
+) -> npt.NDArray[np.complex128]:
+    """Detector fields, shape (n, 2), for one converter at n Faraday angles.
+
+    Only the coil rotation depends on F, so the whole chain is one stacked
+    product evaluated in the same left-to-right order as a single pass.
+    """
     if e_in is None:
         e_in = jones_vector(1.0, 0.0)
-    f = s.coil.rotation_angle_f_rad
-    q_in, q_out = s.converter_pair()
+    q_in, q_out = converter
+    r = _rotator_stack(f_rad)
     pol = polarizer()
     chain = (
         pol
         @ splice45_out()
         @ q_out
-        @ rotator(f)   # non-reciprocal: same sense as the inbound pass
+        @ r   # non-reciprocal: same sense as the inbound pass
         @ mirror()
-        @ rotator(f)
+        @ r
         @ q_in
         @ splice45_in()
         @ pol
@@ -266,19 +304,41 @@ def roundtrip_field(s: FocsScenario, e_in: JonesVector | None = None) -> JonesVe
     return chain @ e_in
 
 
+def roundtrip_field(s: FocsScenario, e_in: JonesVector | None = None) -> JonesVector:
+    """Field at the detector after the full reflective pass."""
+    return roundtrip_fields(s.converter_pair(), (s.coil.rotation_angle_f_rad,), e_in)[0]
+
+
 def ideal_intensity(f_rad: float) -> float:
     """Closed form for the nominal chain at unit input, (1 + cos 4F) / 2."""
     return 0.5 * (1.0 + math.cos(4 * f_rad))
 
 
+def detected_intensities(
+    converter: tuple[JonesMatrix, JonesMatrix],
+    f_rad: Sequence[float],
+    e_in: JonesVector | None = None,
+) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+    """Detected and numeric ideal-chain intensities at every Faraday angle.
+
+    Each value is jones.intensity of its field (scalar abs, not numpy's
+    vectorized complex abs, which may differ by an ulp). Fringe nulls are
+    left to the caller.
+    """
+
+    def intensities(fields):
+        return np.array([abs(ex) ** 2 + abs(ey) ** 2 for ex, ey in fields.tolist()])
+
+    i_out = intensities(roundtrip_fields(converter, f_rad, e_in))
+    i_ideal = intensities(roundtrip_fields(converter_pair(), f_rad, e_in))
+    return i_out, i_ideal
+
+
 def detected_intensity(s: FocsScenario, e_in: JonesVector | None = None) -> IntensityResult:
-    ideal_scenario = FocsScenario(coil=s.coil)
-    i_ideal = intensity(roundtrip_field(ideal_scenario, e_in))
-    if i_ideal < 1e-15:
-        raise FringeNullError(
-            f"ideal fringe vanishes at F={s.coil.rotation_angle_f_rad!r} rad"
-        )
-    i_out = intensity(roundtrip_field(s, e_in))
+    f = s.coil.rotation_angle_f_rad
+    i_out, i_ideal = (float(i[0]) for i in detected_intensities(s.converter_pair(), (f,), e_in))
+    if i_ideal < FRINGE_FLOOR:
+        raise FringeNullError(f"ideal fringe vanishes at F={f!r} rad")
     return IntensityResult(
         i_out=i_out,
         i_ideal=i_ideal,

@@ -1,17 +1,17 @@
 """Measurement campaigns built from the optical chain primitives.
 
 Each runner is a pure function from a frozen parameter record to an
-immutable result, so campaigns parallelize trivially. Worker count comes from
-FOCSIM_THREADS; results are collected in submission order and every row is
-computed by deterministic code, so the output bytes never depend on the
-thread count.
+immutable result, evaluated serially in a fixed order. A current sweep is
+one stacked chain product over all its currents (elements.roundtrip_fields).
+FOCSIM_THREADS is still read and validated (worker_count) but no longer
+changes execution: a thread pool over these small-array, GIL-bound rows
+measured slower than the serial loop, so there is none.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,12 +19,12 @@ import numpy.typing as npt
 
 from .constants import constant
 from .elements import (
+    FRINGE_FLOOR,
     FaradayCoil,
-    FocsScenario,
     ImperfectWaveplate,
-    detected_intensity,
+    converter_pair,
+    detected_intensities,
 )
-from .errors import FringeNullError
 from .jones import JonesMatrix
 from .spun import (
     EllipticityTrajectory,
@@ -37,9 +37,6 @@ from .spun import (
     total_matrix,
 )
 
-_FRINGE_FLOOR = 1e-15
-
-
 def worker_count() -> int:
     raw = os.environ.get("FOCSIM_THREADS", "").strip()
     if not raw:
@@ -48,15 +45,6 @@ def worker_count() -> int:
     if n < 1:
         raise ValueError("FOCSIM_THREADS must be a positive integer")
     return n
-
-
-def _map_ordered(fn, items):
-    n = worker_count()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -183,32 +171,16 @@ class SweepResult:
 
 
 def run_current_sweep(spec: CurrentSweepSpec) -> SweepResult:
-    override = spec.front_end.converter_override()
     currents = np.asarray(spec.currents_a, dtype=np.float64)
-
-    def one(current: float):
-        coil = FaradayCoil.from_current(
-            verdet_rad_per_amp_turn=spec.verdet_rad_per_amp_turn,
-            turns=spec.turns,
-            current_a=current,
-        )
-        scenario = FocsScenario(
-            coil=coil,
-            waveplate=spec.front_end.waveplate,
-            converter_override=override,
-        )
-        try:
-            r = detected_intensity(scenario)
-            return coil.rotation_angle_f_rad, r.i_out, r.i_ideal, r.relative_error_pct
-        except FringeNullError:
-            f = coil.rotation_angle_f_rad
-            return f, float("nan"), math.cos(2 * f) ** 2, float("nan")
-
-    rows = _map_ordered(one, currents)
-    f = np.array([r[0] for r in rows])
-    i_out = np.array([r[1] for r in rows])
-    i_ideal = np.array([r[2] for r in rows])
-    err = np.array([r[3] for r in rows])
+    f = spec.verdet_rad_per_amp_turn * spec.turns * currents
+    converter = converter_pair(spec.front_end.waveplate, spec.front_end.converter_override())
+    i_out, i_ideal = detected_intensities(converter, f)
+    null = i_ideal < FRINGE_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = (i_out - i_ideal) / i_ideal * 100.0
+    i_out[null] = np.nan
+    err[null] = np.nan
+    i_ideal[null] = [math.cos(2 * x) ** 2 for x in f[null]]
     ok = ~np.isnan(err)
     return SweepResult(
         currents_a=currents,
@@ -255,7 +227,7 @@ def run_imperfection_scan(
         )
         return ImperfectionCell(d, b, run_current_sweep(spec).max_abs_err_pct)
 
-    cells = tuple(_map_ordered(one, combos))
+    cells = tuple(one(c) for c in combos)
     return ImperfectionScanResult(
         cells=cells,
         worst_err_pct=max(c.max_abs_err_pct for c in cells),
@@ -309,7 +281,7 @@ def run_xi_sweep(
 
     return XiSweepResult(
         profile_kind=base_medium.profile.kind,
-        rows=tuple(_map_ordered(one, ratios)),
+        rows=tuple(one(r) for r in ratios),
     )
 
 
@@ -385,7 +357,7 @@ def run_perturbation_study(
         delta_at_temperature(d0, t0 - dtemp),
         delta_at_temperature(d0, t0 + dtemp),
     ]
-    base, wl_lo, wl_hi, t_lo, t_hi = _map_ordered(metrics_at, jobs)
+    base, wl_lo, wl_hi, t_lo, t_hi = (metrics_at(d) for d in jobs)
 
     def axis(label, lo_val, hi_val, lo_m, hi_m) -> PerturbationAxis:
         pp = 100.0 * (max(lo_m.delta_eps_pp, hi_m.delta_eps_pp) / base.delta_eps_pp - 1.0)
@@ -431,7 +403,7 @@ def run_convergence_ladder(
         return ConvergenceRow(n, float(np.max(np.abs(m - ref))))
 
     return ConvergenceResult(
-        rows=tuple(_map_ordered(one, segment_counts)),
+        rows=tuple(one(n) for n in segment_counts),
         reference_n=reference_n,
     )
 

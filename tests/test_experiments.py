@@ -91,6 +91,108 @@ def test_fringe_null_rows_are_excluded_from_summaries():
     assert math.isnan(only_null.max_abs_err_pct)
 
 
+_H = math.sqrt(0.5)
+_ORACLE_IDEAL_PAIR = (
+    _H * np.array([[1, 1j], [1j, 1]], dtype=np.complex128),
+    _H * np.array([[1, -1j], [-1j, 1]], dtype=np.complex128),
+)
+
+
+def _oracle_sweep(q_in, q_out, currents):
+    """Per-row reflective chain: polarizer, 45 degree splice, converter,
+    coil, mirror and back, each current its own straight-line product.
+
+    Independent of focsim.elements: every matrix is typed in here.
+    """
+    pol = np.array([[1, 0], [0, 0]], dtype=np.complex128)
+    splice_in = _H * np.array([[1, 1], [-1, 1]], dtype=np.complex128)
+    splice_out = splice_in.T.copy()
+    mirror = np.eye(2, dtype=np.complex128)
+    e_in = np.array([1.0, 0.0], dtype=np.complex128)
+    vt = constant("verdet_rad_per_amp_turn") * constant("coil_turns")
+    rows = []
+    for current in currents:
+        f = vt * current
+        c, s = math.cos(f), math.sin(f)
+        r = np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+        def detected(qi, qo):
+            e = pol @ splice_out @ qo @ r @ mirror @ r @ qi @ splice_in @ pol @ e_in
+            return abs(e[0]) ** 2 + abs(e[1]) ** 2
+
+        ideal = detected(*_ORACLE_IDEAL_PAIR)
+        if ideal < 1e-15:
+            rows.append((f, math.nan, math.cos(2 * f) ** 2, math.nan))
+        else:
+            out = detected(q_in, q_out)
+            rows.append((f, out, ideal, (out - ideal) / ideal * 100.0))
+    return np.array(rows).T
+
+
+def _oracle_plate(cut_deviation_m, splice_angle_rad):
+    rho = (
+        2 * math.pi * constant("birefringence_delta_n")
+        * (constant("plate_cut_length_m") + cut_deviation_m) / constant("wavelength_m")
+    )
+    c, s = math.cos(rho / 2), math.sin(rho / 2)
+    c2b, s2b = math.cos(2 * splice_angle_rad), math.sin(2 * splice_angle_rad)
+    plate = np.array([[c + 1j * s * c2b, 1j * s * s2b], [1j * s * s2b, c - 1j * s * c2b]])
+    k, q = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    mount = np.array([[k, -q], [q, k]], dtype=np.complex128)
+    fwd = mount @ plate @ mount.T
+    return fwd, fwd.conj()
+
+
+def test_current_sweep_matches_a_per_row_oracle():
+    currents = tuple(np.linspace(0.0, 2000.0, 201))
+    res = fs.run_current_sweep(replace(fs.default_sweep_spec(), currents_a=currents))
+    f, i_out, i_ideal, err = _oracle_sweep(*_ORACLE_IDEAL_PAIR, currents)
+    assert np.array_equal(res.faraday_rad, f)
+    assert np.array_equal(res.i_out, i_out)
+    assert np.array_equal(res.i_ideal, i_ideal)
+    assert np.array_equal(res.err_pct, err)
+
+    medium = fs.default_demo_medium()
+    fwd = total_matrix(medium, grid_for(medium, 2048))
+    cases = [
+        (fs.front_end_imperfect(fs.ImperfectWaveplate.from_cut_deviation(d, b)),
+         _oracle_plate(d, b))
+        for d, b in ((5e-4, math.radians(2.0)), (-3e-4, -0.01))
+    ]
+    cases.append((fs.front_end_high_order(medium, 2048), (fwd, fwd.T)))
+    for front_end, pair in cases:
+        res = fs.run_current_sweep(replace(fs.default_sweep_spec(front_end), currents_a=currents))
+        f, i_out, i_ideal, err = _oracle_sweep(*pair, currents)
+        assert res.n_fringe_null == 0
+        assert np.max(np.abs(res.i_out - i_out)) <= 1e-15
+        assert np.max(np.abs(res.i_ideal - i_ideal)) <= 1e-15
+        assert np.max(np.abs(res.err_pct - err) / np.maximum(1.0, np.abs(err))) <= 1e-12
+        assert res.max_abs_err_pct > 0.01
+
+
+def test_current_sweep_oracle_at_fringe_nulls():
+    vt = constant("verdet_rad_per_amp_turn") * constant("coil_turns")
+    null_current = (math.pi / 4) / vt
+    plate = fs.ImperfectWaveplate.from_cut_deviation(5e-4, math.radians(2.0))
+    pair = _oracle_plate(5e-4, math.radians(2.0))
+    for currents in ((0.0, 700.0, null_current, 1500.0, 2000.0), (null_current,)):
+        spec = replace(fs.default_sweep_spec(fs.front_end_imperfect(plate)), currents_a=currents)
+        res = fs.run_current_sweep(spec)
+        f, i_out, i_ideal, err = _oracle_sweep(*pair, currents)
+        null = np.isnan(err)
+        assert null.sum() == res.n_fringe_null == 1
+        assert np.array_equal(np.isnan(res.i_out), null)
+        assert np.array_equal(np.isnan(res.err_pct), null)
+        assert np.array_equal(res.i_ideal[null], i_ideal[null])
+        assert np.max(np.abs(res.i_out[~null] - i_out[~null]), initial=0.0) <= 1e-15
+        live = np.abs(err[~null])
+        if live.size:
+            assert res.max_abs_err_pct == pytest.approx(live.max(), rel=1e-12)
+            assert res.mean_abs_err_pct == pytest.approx(live.mean(), rel=1e-12)
+        else:
+            assert math.isnan(res.max_abs_err_pct) and math.isnan(res.mean_abs_err_pct)
+
+
 def test_imperfection_scan_reproduces_frozen_worst_case():
     two_deg = math.radians(2.0)
     scan = fs.run_imperfection_scan(
