@@ -3,8 +3,8 @@
 The sensor is a single-ended loop: polarizer, 45 degree splice, quarter-wave
 plate, sensing coil, mirror, then the same elements in reverse. All element
 constructors return plain Jones matrices; the chain assembly lives in
-roundtrip_fields, which evaluates a whole current sweep as one stacked
-product (roundtrip_field is its single-angle case).
+roundtrip_fields, which evaluates a coil at many Faraday angles as one
+stacked product (roundtrip_field is its single-angle case).
 
 Two conventions matter and are easy to get wrong:
 
@@ -192,9 +192,13 @@ def mount_at_45deg(element: JonesMatrix) -> JonesMatrix:
 
 @dataclass(frozen=True)
 class FaradayCoil:
-    """Sensing coil. Either give the rotation directly or the full triple."""
+    """Sensing coil. Either give the rotation directly or the full triple.
 
-    rotation_angle_f_rad: float
+    The rotation may also be a 1-D array of angles, the coil swept over a
+    current grid; detected_intensity then evaluates every angle at once.
+    """
+
+    rotation_angle_f_rad: float | npt.NDArray[np.float64]
     verdet_rad_per_amp_turn: float | None = None
     turns: int | None = None
     current_a: float | None = None
@@ -221,9 +225,11 @@ class FaradayCoil:
 
 @dataclass(frozen=True)
 class IntensityResult:
-    i_out: float
-    i_ideal: float
-    relative_error_pct: float
+    """Floats for a single rotation angle, arrays for a swept coil."""
+
+    i_out: float | npt.NDArray[np.float64]
+    i_ideal: float | npt.NDArray[np.float64]
+    relative_error_pct: float | npt.NDArray[np.float64]
 
 
 @dataclass(frozen=True)
@@ -240,24 +246,18 @@ class FocsScenario:
     converter_override: tuple[JonesMatrix, JonesMatrix] | None = None
 
     def converter_pair(self) -> tuple[JonesMatrix, JonesMatrix]:
-        return converter_pair(self.waveplate, self.converter_override)
+        """Forward and return converter matrices of the chain.
 
-
-def converter_pair(
-    waveplate: ImperfectWaveplate | None = None,
-    override: tuple[JonesMatrix, JonesMatrix] | None = None,
-) -> tuple[JonesMatrix, JonesMatrix]:
-    """Forward and return converter matrices of the chain.
-
-    An injected override wins; otherwise a non-nominal plate is mounted at
-    45 degrees, and no plate (or a nominal one) gives the ideal printed pair.
-    """
-    if override is not None:
-        return override
-    if waveplate is None or waveplate.is_nominal():
-        return qwp_ideal_in(), qwp_ideal_out()
-    fwd = mount_at_45deg(qwp_imperfect(waveplate))
-    return fwd, np.conj(fwd)
+        An injected override wins; otherwise a non-nominal plate is mounted
+        at 45 degrees, and no plate (or a nominal one) gives the ideal
+        printed pair.
+        """
+        if self.converter_override is not None:
+            return self.converter_override
+        if self.waveplate is None or self.waveplate.is_nominal():
+            return qwp_ideal_in(), qwp_ideal_out()
+        fwd = mount_at_45deg(qwp_imperfect(self.waveplate))
+        return fwd, np.conj(fwd)
 
 
 def _rotator_stack(angles_rad: Sequence[float]) -> npt.NDArray[np.complex128]:
@@ -314,33 +314,32 @@ def ideal_intensity(f_rad: float) -> float:
     return 0.5 * (1.0 + math.cos(4 * f_rad))
 
 
-def detected_intensities(
-    converter: tuple[JonesMatrix, JonesMatrix],
-    f_rad: Sequence[float],
-    e_in: JonesVector | None = None,
-) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
-    """Detected and numeric ideal-chain intensities at every Faraday angle.
-
-    Each value is jones.intensity of its field (scalar abs, not numpy's
-    vectorized complex abs, which may differ by an ulp). Fringe nulls are
-    left to the caller.
-    """
-
-    def intensities(fields):
-        return np.array([abs(ex) ** 2 + abs(ey) ** 2 for ex, ey in fields.tolist()])
-
-    i_out = intensities(roundtrip_fields(converter, f_rad, e_in))
-    i_ideal = intensities(roundtrip_fields(converter_pair(), f_rad, e_in))
-    return i_out, i_ideal
+def _intensities(fields: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
+    """jones.intensity of every field, with scalar abs: numpy's vectorized
+    complex abs may differ from it by an ulp."""
+    return np.array([abs(ex) ** 2 + abs(ey) ** 2 for ex, ey in fields.tolist()])
 
 
 def detected_intensity(s: FocsScenario, e_in: JonesVector | None = None) -> IntensityResult:
+    """Detected intensity and its relative error against the numeric ideal chain.
+
+    A single rotation angle at a fringe null raises FringeNullError. For a
+    swept coil every field of the result is an array over the angles, and
+    fringe-null rows hold NaN in i_out and relative_error_pct instead.
+    """
     f = s.coil.rotation_angle_f_rad
-    i_out, i_ideal = (float(i[0]) for i in detected_intensities(s.converter_pair(), (f,), e_in))
-    if i_ideal < FRINGE_FLOOR:
-        raise FringeNullError(f"ideal fringe vanishes at F={f!r} rad")
-    return IntensityResult(
-        i_out=i_out,
-        i_ideal=i_ideal,
-        relative_error_pct=(i_out - i_ideal) / i_ideal * 100.0,
-    )
+    swept = np.ndim(f) == 1
+    angles = f if swept else (f,)
+    i_out = _intensities(roundtrip_fields(s.converter_pair(), angles, e_in))
+    i_ideal = _intensities(roundtrip_fields((qwp_ideal_in(), qwp_ideal_out()), angles, e_in))
+    null = i_ideal < FRINGE_FLOOR
+    if not swept:
+        if null[0]:
+            raise FringeNullError(f"ideal fringe vanishes at F={f!r} rad")
+        i_out, i_ideal = float(i_out[0]), float(i_ideal[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = (i_out - i_ideal) / i_ideal * 100.0
+    if swept:
+        i_out[null] = np.nan
+        err[null] = np.nan
+    return IntensityResult(i_out=i_out, i_ideal=i_ideal, relative_error_pct=err)

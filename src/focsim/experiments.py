@@ -2,7 +2,8 @@
 
 Each runner is a pure function from a frozen parameter record to an
 immutable result, evaluated serially in a fixed order. A current sweep is
-one stacked chain product over all its currents (elements.roundtrip_fields).
+one detected_intensity call on a coil swept over all its currents, one
+stacked chain product (elements.roundtrip_fields).
 FOCSIM_THREADS is still read and validated (worker_count) but no longer
 changes execution: a thread pool over these small-array, GIL-bound rows
 measured slower than the serial loop, so there is none.
@@ -19,11 +20,10 @@ import numpy.typing as npt
 
 from .constants import constant
 from .elements import (
-    FRINGE_FLOOR,
     FaradayCoil,
+    FocsScenario,
     ImperfectWaveplate,
-    converter_pair,
-    detected_intensities,
+    detected_intensity,
 )
 from .jones import JonesMatrix
 from .spun import (
@@ -173,19 +173,21 @@ class SweepResult:
 def run_current_sweep(spec: CurrentSweepSpec) -> SweepResult:
     currents = np.asarray(spec.currents_a, dtype=np.float64)
     f = spec.verdet_rad_per_amp_turn * spec.turns * currents
-    converter = converter_pair(spec.front_end.waveplate, spec.front_end.converter_override())
-    i_out, i_ideal = detected_intensities(converter, f)
-    null = i_ideal < FRINGE_FLOOR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = (i_out - i_ideal) / i_ideal * 100.0
-    i_out[null] = np.nan
-    err[null] = np.nan
-    i_ideal[null] = [math.cos(2 * x) ** 2 for x in f[null]]
+    r = detected_intensity(
+        FocsScenario(
+            coil=FaradayCoil(f),
+            waveplate=spec.front_end.waveplate,
+            converter_override=spec.front_end.converter_override(),
+        )
+    )
+    err = r.relative_error_pct
     ok = ~np.isnan(err)
+    i_ideal = r.i_ideal
+    i_ideal[~ok] = [math.cos(2 * x) ** 2 for x in f[~ok]]
     return SweepResult(
         currents_a=currents,
         faraday_rad=f,
-        i_out=i_out,
+        i_out=r.i_out,
         i_ideal=i_ideal,
         err_pct=err,
         max_abs_err_pct=float(np.max(np.abs(err[ok]))) if ok.any() else float("nan"),

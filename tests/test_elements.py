@@ -124,6 +124,23 @@ def test_fringe_null_raises():
         fs.detected_intensity(s)
 
 
+def test_swept_coil_matches_single_angles():
+    w = fs.ImperfectWaveplate(1.45, 0.02)
+    f = np.array([0.0, 0.1, math.pi / 4, 0.6, 1.2])
+    r = fs.detected_intensity(fs.FocsScenario(coil=fs.FaradayCoil(f), waveplate=w))
+    for k, fk in enumerate(f):
+        s = fs.FocsScenario(coil=fs.FaradayCoil(float(fk)), waveplate=w)
+        if k == 2:
+            with pytest.raises(FringeNullError):
+                fs.detected_intensity(s)
+            assert math.isnan(r.i_out[k]) and math.isnan(r.relative_error_pct[k])
+            continue
+        one = fs.detected_intensity(s)
+        assert (r.i_out[k], r.i_ideal[k], r.relative_error_pct[k]) == (
+            one.i_out, one.i_ideal, one.relative_error_pct
+        )
+
+
 def test_converter_override_used():
     pair = (fs.qwp_ideal_in(), fs.qwp_ideal_out())
     s = fs.FocsScenario(
