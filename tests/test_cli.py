@@ -49,6 +49,11 @@ def test_sweep_current_matches_golden_bytes():
     assert proc.stdout == GOLDEN.joinpath("default_sweep.json").read_text()
 
 
+def test_print_config_matches_golden_bytes():
+    proc = run_cli("print-config")
+    assert proc.stdout == GOLDEN.joinpath("default_config.json").read_text()
+
+
 def test_json_metadata_shape():
     obj = json.loads(run_cli("sweep-current", "--format", "json").stdout)
     assert obj["metadata"]["schema_version"] == "1"
