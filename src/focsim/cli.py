@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every subcommand reads an optional JSON config, applies flag overrides,
-runs one campaign, and emits a single table to stdout or --out. Timing
-goes to stderr so the emitted bytes depend only on the configuration.
+Every subcommand reads an optional JSON config, reads its flags over it as
+a partial config with the same checks as the file, runs one campaign, and
+emits a single table to stdout or --out. Timing goes to stderr so the
+emitted bytes depend only on the configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric domain error,
 4 output I/O failure.
@@ -17,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import AppConfig, default_config, load_config, serialize_config
+from .config import AppConfig, default_config, load_config, parse_config, serialize_config
 from .elements import FocsScenario, detected_intensity
 from .errors import ConfigError, FocsimError, FringeNullError, NumericDomainError
 from .experiments import (
@@ -210,11 +211,40 @@ _RUNNERS = {
 def _csv_list(cast):
     def parse(text: str):
         try:
-            return tuple(cast(part) for part in text.split(","))
+            return [cast(part) for part in text.split(",")]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
     return parse
+
+
+_HELP = {
+    "simulate": "one round trip at one current",
+    "trajectory": "ellipticity along the medium",
+    "sweep-current": "detected intensity vs current",
+    "sweep-xi": "ripple vs spin-rate ratio",
+    "perturb": "wavelength/temperature drift study",
+    "converge": "grid refinement report",
+    "print-config": "emit the fully resolved configuration",
+}
+
+# (subcommand, flag, argument type, the config key the flag sets). The flags
+# of a run form a partial config document read over the loaded config, so a
+# flag passes exactly the checks of the same key in a file.
+_FLAGS = (
+    ("simulate", "--current-a", float, "coil.current_a"),
+    ("trajectory", "--segments", int, "trajectory.n_segments"),
+    ("trajectory", "--stride", int, "trajectory.stride"),
+    ("trajectory", "--metric", str, "trajectory.metric_kind"),
+    ("sweep-current", "--max-a", float, "current_sweep.max_a"),
+    ("sweep-current", "--points", int, "current_sweep.points"),
+    ("sweep-xi", "--ratios", _csv_list(float), "xi_sweep.ratios"),
+    ("sweep-xi", "--profiles", _csv_list(str), "xi_sweep.profiles"),
+    ("sweep-xi", "--segments", int, "xi_sweep.n_segments"),
+    ("perturb", "--segments", int, "perturbation.n_segments"),
+    ("converge", "--counts", _csv_list(int), "convergence.segment_counts"),
+    ("converge", "--reference-n", int, "convergence.reference_n"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -233,79 +263,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Jones-calculus simulator for reflective fiber-optic current sensors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", parents=[common], help="one round trip at one current")
-    p.add_argument("--current-a", type=float, dest="current_a")
-
-    p = sub.add_parser("trajectory", parents=[common], help="ellipticity along the medium")
-    p.add_argument("--segments", type=int, dest="segments")
-    p.add_argument("--stride", type=int, dest="stride")
-    p.add_argument("--metric", choices=("principal", "axis_ratio"), dest="metric")
-
-    p = sub.add_parser("sweep-current", parents=[common], help="detected intensity vs current")
-    p.add_argument("--max-a", type=float, dest="max_a")
-    p.add_argument("--points", type=int, dest="points")
-
-    p = sub.add_parser("sweep-xi", parents=[common], help="ripple vs spin-rate ratio")
-    p.add_argument("--ratios", type=_csv_list(float), dest="ratios")
-    p.add_argument("--profiles", type=_csv_list(str), dest="profiles")
-    p.add_argument("--segments", type=int, dest="segments")
-
-    p = sub.add_parser("perturb", parents=[common], help="wavelength/temperature drift study")
-    p.add_argument("--segments", type=int, dest="segments")
-
-    p = sub.add_parser("converge", parents=[common], help="grid refinement report")
-    p.add_argument("--counts", type=_csv_list(int), dest="counts")
-    p.add_argument("--reference-n", type=int, dest="reference_n")
-
-    p = sub.add_parser(
-        "print-config", parents=[common], help="emit the fully resolved configuration"
-    )
+    commands = {
+        name: sub.add_parser(name, parents=[common], help=text) for name, text in _HELP.items()
+    }
+    for command, flag, cast, key in _FLAGS:
+        commands[command].add_argument(
+            flag, type=cast, dest=key, metavar="VALUE", help=f"sets {key}"
+        )
     return parser
 
 
-def _apply_overrides(cfg: AppConfig, args: argparse.Namespace) -> AppConfig:
-    def opt(name):
-        return getattr(args, name, None)
-
-    if opt("current_a") is not None:
-        cfg = replace(cfg, coil=replace(cfg.coil, current_a=args.current_a))
-    if opt("max_a") is not None:
-        cfg = replace(cfg, current_sweep=replace(cfg.current_sweep, max_a=args.max_a))
-    if opt("points") is not None:
-        cfg = replace(cfg, current_sweep=replace(cfg.current_sweep, points=args.points))
-    if opt("stride") is not None:
-        cfg = replace(cfg, trajectory=replace(cfg.trajectory, stride=args.stride))
-    if opt("metric") is not None:
-        cfg = replace(cfg, trajectory=replace(cfg.trajectory, metric_kind=args.metric))
-    if opt("ratios") is not None:
-        cfg = replace(cfg, xi_sweep=replace(cfg.xi_sweep, ratios=args.ratios))
-    if opt("profiles") is not None:
-        for kind in args.profiles:
-            if kind not in ("linear", "cosine", "constant"):
-                raise ConfigError(f"unknown profile kind {kind!r}", "xi_sweep.profiles")
-        cfg = replace(cfg, xi_sweep=replace(cfg.xi_sweep, profiles=args.profiles))
-    if opt("counts") is not None:
-        cfg = replace(
-            cfg, convergence=replace(cfg.convergence, segment_counts=args.counts)
-        )
-    if opt("reference_n") is not None:
-        cfg = replace(
-            cfg, convergence=replace(cfg.convergence, reference_n=args.reference_n)
-        )
-    if opt("segments") is not None:
-        if args.command == "trajectory":
-            cfg = replace(cfg, trajectory=replace(cfg.trajectory, n_segments=args.segments))
-        elif args.command == "sweep-xi":
-            cfg = replace(cfg, xi_sweep=replace(cfg.xi_sweep, n_segments=args.segments))
-        elif args.command == "perturb":
-            cfg = replace(cfg, perturbation=replace(cfg.perturbation, n_segments=args.segments))
-    if opt("counts") is not None or opt("reference_n") is not None:
-        if any(c >= cfg.convergence.reference_n for c in cfg.convergence.segment_counts):
-            raise ConfigError(
-                "reference_n must exceed every probe count", "convergence.reference_n"
-            )
-    return cfg
+def _flag_document(args: argparse.Namespace) -> dict:
+    """The partial config document spelled by the flags given."""
+    doc: dict = {}
+    for *_, key in _FLAGS:
+        # each key belongs to one subcommand; only its flags are in args
+        value = getattr(args, key, None)
+        if value is not None:
+            section, name = key.split(".")
+            doc.setdefault(section, {})[name] = value
+    return doc
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -327,7 +304,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             raise ConfigError("must be a positive integer", "FOCSIM_THREADS") from exc
         cfg = load_config(args.config) if args.config else default_config()
-        cfg = _apply_overrides(cfg, args)
+        cfg = parse_config(_flag_document(args), base=cfg)
         if args.command == "print-config":
             text = serialize_config(cfg)
         else:

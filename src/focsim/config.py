@@ -1,17 +1,35 @@
-"""Scenario configuration: strict parsing and canonical serialization.
+"""Scenario configuration: one field-checked schema for files and CLI flags.
 
-Files are JSON. Unknown keys fail with the full key path rather than being
-ignored, numeric keys carry their unit as a name suffix, and parsing then
-serializing is a fixed point. Every file may carry an assumed-constants
-block; values that disagree with this build are rejected, not silently
-reinterpreted.
+Files are JSON. Each section is a frozen dataclass, and each of its keys
+declares its own check in ``field(metadata=...)``: a finite number, a
+positive or non-negative length, an integer of at least k, one of a set, or
+a non-empty list of one of these. One generic reader applies those checks
+over a default instance, so a missing key keeps the default's value at every
+depth, and one generic writer serializes the fields in declaration order.
+Unknown keys and values that fail their check raise ConfigError with the
+full key path rather than being ignored. Numeric keys carry their unit as a
+name suffix, and parsing then serializing is a fixed point.
+
+CLI flags are a partial document read over the loaded config
+(``parse_config(flags, base=cfg)``), so a flag passes exactly the checks of
+the same key in a file. A front end's kind selects its default instance
+(``FrontEndConfig.default``); keys the kind does not use are unknown there.
+
+Checks that tie several keys of one medium together (a medium no shorter
+than its lead-in plus transition, a ramped profile with a positive
+transition, the profile kind a front end needs) run when a section is
+built, and fail as ConfigError with the section path (``medium`` or
+``front_end.medium``).
+
+Every file may carry an assumed-constants block; values that disagree with
+this build are rejected, not silently reinterpreted.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 from .constants import ASSUMED_CONSTANTS, SCHEMA_VERSION, constant
 from .errors import ConfigError
@@ -26,74 +44,98 @@ from .elements import FaradayCoil, ImperfectWaveplate
 from .spun import SpinProfile, SpunMediumSpec
 
 _PROFILE_KINDS = ("linear", "cosine", "constant")
-_FRONT_END_KINDS = ("ideal", "imperfect_qwp", "spun_fiber", "high_order_qwp")
-_METRIC_KINDS = ("principal", "axis_ratio")
 
 
-def _require_mapping(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError("expected an object", path)
-    return obj
+# ------------------------------------------------------------------ checks
+# Each check takes the raw JSON value and its key path, and returns the
+# parsed value or raises ConfigError naming that path.
 
-def _reject_unknown(obj: dict, allowed, path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError("unknown key", f"{path}.{key}" if path else key)
 
-def _get_float(obj: dict, key: str, default: float, path: str) -> float:
-    v = obj.get(key, default)
+def _number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError("expected a number", f"{path}.{key}")
-    return float(v)
-
-def _get_int(obj: dict, key: str, default: int, path: str) -> int:
-    v = obj.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError("expected an integer", f"{path}.{key}")
+        raise ConfigError("expected a number", path)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError("expected a finite number", path)
     return v
 
-def _get_str(obj: dict, key: str, default: str, path: str, choices=None) -> str:
-    v = obj.get(key, default)
-    if not isinstance(v, str):
-        raise ConfigError("expected a string", f"{path}.{key}")
-    if choices is not None and v not in choices:
-        raise ConfigError(f"must be one of {', '.join(choices)}", f"{path}.{key}")
+
+def _length(positive: bool):
+    def check(v, path: str) -> float:
+        v = _number(v, path)
+        if v < 0.0 or (positive and v == 0.0):
+            raise ConfigError("must be positive" if positive else "must not be negative", path)
+        return v
+
+    return check
+
+
+def _integer(least: int):
+    def check(v, path: str) -> int:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError("expected an integer", path)
+        if v < least:
+            raise ConfigError(f"must be at least {least}", path)
+        return v
+
+    return check
+
+
+def _one_of(choices: tuple[str, ...]):
+    def check(v, path: str) -> str:
+        if not isinstance(v, str) or v not in choices:
+            raise ConfigError(f"must be one of {', '.join(choices)}", path)
+        return v
+
+    return check
+
+
+def _list_of(item):
+    def check(v, path: str) -> tuple:
+        if not isinstance(v, list) or not v:
+            raise ConfigError("expected a non-empty list", path)
+        return tuple(item(x, path) for x in v)
+
+    return check
+
+
+def _wavelength_drift(v, path: str) -> float:
+    v = _number(v, path)
+    if abs(v) >= float(constant("wavelength_m")):
+        raise ConfigError("must be smaller in magnitude than wavelength_m", path)
     return v
+
+
+def _schema_version(v, path: str) -> str:
+    if v != SCHEMA_VERSION:
+        raise ConfigError(
+            f"unsupported schema version {v!r}, this build reads {SCHEMA_VERSION!r}", path
+        )
+    return v
+
+
+_positive = _length(True)
+_non_negative = _length(False)
+_front_end_kind = _one_of(("ideal", "imperfect_qwp", "spun_fiber", "high_order_qwp"))
+
+
+def _key(check, default=MISSING):
+    """A config key: a dataclass field whose metadata holds its check."""
+    return field(default=default, metadata={"check": check})
+
+
+# ---------------------------------------------------------------- sections
 
 
 @dataclass(frozen=True)
 class ProfileConfig:
-    kind: str
-    xi_over_delta: float
-    lead_in_l1_m: float
-    transition_l2_m: float
-
-    @classmethod
-    def parse(cls, obj, path: str) -> "ProfileConfig":
-        obj = _require_mapping(obj, path)
-        _reject_unknown(
-            obj, ("kind", "xi_over_delta", "lead_in_l1_m", "transition_l2_m"), path
-        )
-        return cls(
-            kind=_get_str(obj, "kind", str(constant("medium_profile")), path, _PROFILE_KINDS),
-            xi_over_delta=_get_float(
-                obj, "xi_over_delta", float(constant("medium_xi_over_delta")), path
-            ),
-            lead_in_l1_m=_get_float(
-                obj, "lead_in_l1_m", float(constant("medium_lead_in_m")), path
-            ),
-            transition_l2_m=_get_float(
-                obj, "transition_l2_m", float(constant("medium_transition_m")), path
-            ),
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "xi_over_delta": self.xi_over_delta,
-            "lead_in_l1_m": self.lead_in_l1_m,
-            "transition_l2_m": self.transition_l2_m,
-        }
+    kind: str = _key(_one_of(_PROFILE_KINDS))
+    xi_over_delta: float = _key(_number)
+    lead_in_l1_m: float = _key(_non_negative)
+    transition_l2_m: float = _key(_non_negative)
 
     def build(self, delta_rad_per_m: float) -> SpinProfile:
         return SpinProfile(
@@ -106,133 +148,54 @@ class ProfileConfig:
 
 @dataclass(frozen=True)
 class MediumConfig:
-    total_length_m: float
-    beat_length_m: float
+    total_length_m: float = _key(_positive)
+    beat_length_m: float = _key(_positive)
     profile: ProfileConfig
 
-    @classmethod
-    def parse(cls, obj, path: str, defaults: "MediumConfig") -> "MediumConfig":
-        obj = _require_mapping(obj, path)
-        _reject_unknown(obj, ("total_length_m", "beat_length_m", "profile"), path)
-        profile = (
-            ProfileConfig.parse(obj["profile"], f"{path}.profile")
-            if "profile" in obj
-            else defaults.profile
-        )
-        return cls(
-            total_length_m=_get_float(obj, "total_length_m", defaults.total_length_m, path),
-            beat_length_m=_get_float(obj, "beat_length_m", defaults.beat_length_m, path),
-            profile=profile,
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "total_length_m": self.total_length_m,
-            "beat_length_m": self.beat_length_m,
-            "profile": self.profile.to_obj(),
-        }
-
-    def build(self) -> SpunMediumSpec:
+    def build(self, path: str = "medium") -> SpunMediumSpec:
         delta = 2.0 * math.pi / self.beat_length_m
-        return SpunMediumSpec(
-            total_length_m=self.total_length_m,
-            delta_rad_per_m=delta,
-            profile=self.profile.build(delta),
-        )
-
-
-def default_medium_config() -> MediumConfig:
-    return MediumConfig(
-        total_length_m=float(constant("medium_total_length_m")),
-        beat_length_m=float(constant("medium_beat_length_m")),
-        profile=ProfileConfig(
-            kind=str(constant("medium_profile")),
-            xi_over_delta=float(constant("medium_xi_over_delta")),
-            lead_in_l1_m=float(constant("medium_lead_in_m")),
-            transition_l2_m=float(constant("medium_transition_m")),
-        ),
-    )
-
-
-def _device_beat_length_m() -> float:
-    return float(constant("wavelength_m")) / float(constant("birefringence_delta_n"))
-
-
-def default_front_end_medium(kind: str) -> MediumConfig:
-    if kind == "high_order_qwp":
-        return MediumConfig(
-            total_length_m=float(constant("ho_qwp_total_length_m")),
-            beat_length_m=_device_beat_length_m(),
-            profile=ProfileConfig(
-                kind="cosine",
-                xi_over_delta=float(constant("ho_qwp_xi_over_delta")),
-                lead_in_l1_m=0.0,
-                transition_l2_m=float(constant("ho_qwp_transition_m")),
-            ),
-        )
-    return MediumConfig(
-        total_length_m=float(constant("spun_fiber_total_length_m")),
-        beat_length_m=_device_beat_length_m(),
-        profile=ProfileConfig(
-            kind="constant",
-            xi_over_delta=float(constant("spun_fiber_xi_over_delta")),
-            lead_in_l1_m=0.0,
-            transition_l2_m=0.0,
-        ),
-    )
+        try:
+            return SpunMediumSpec(
+                total_length_m=self.total_length_m,
+                delta_rad_per_m=delta,
+                profile=self.profile.build(delta),
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc), path) from exc
 
 
 @dataclass(frozen=True)
 class FrontEndConfig:
-    kind: str
-    cut_deviation_m: float = 0.0
-    splice_angle_rad: float = 0.0
+    """The converter front end; keys its kind does not use stay None."""
+
+    kind: str = _key(_front_end_kind)
+    cut_deviation_m: float | None = _key(_number, None)
+    splice_angle_rad: float | None = _key(_number, None)
     medium: MediumConfig | None = None
-    n_segments: int = 0
+    n_segments: int | None = _key(_integer(1), None)
 
     @classmethod
-    def parse(cls, obj, path: str) -> "FrontEndConfig":
-        obj = _require_mapping(obj, path)
-        kind = _get_str(obj, "kind", "ideal", path, _FRONT_END_KINDS)
+    def default(cls, kind: str) -> "FrontEndConfig":
         if kind == "ideal":
-            _reject_unknown(obj, ("kind",), path)
-            return cls(kind=kind)
+            return cls(kind)
         if kind == "imperfect_qwp":
-            _reject_unknown(obj, ("kind", "cut_deviation_m", "splice_angle_rad"), path)
-            return cls(
-                kind=kind,
-                cut_deviation_m=_get_float(obj, "cut_deviation_m", 0.0, path),
-                splice_angle_rad=_get_float(obj, "splice_angle_rad", 0.0, path),
+            return cls(kind, cut_deviation_m=0.0, splice_angle_rad=0.0)
+        if kind == "high_order_qwp":
+            length = float(constant("ho_qwp_total_length_m"))
+            profile = ProfileConfig(
+                "cosine",
+                float(constant("ho_qwp_xi_over_delta")),
+                0.0,
+                float(constant("ho_qwp_transition_m")),
             )
-        _reject_unknown(obj, ("kind", "medium", "n_segments"), path)
-        med_default = default_front_end_medium(kind)
-        medium = (
-            MediumConfig.parse(obj["medium"], f"{path}.medium", med_default)
-            if "medium" in obj
-            else med_default
-        )
-        return cls(
-            kind=kind,
-            medium=medium,
-            n_segments=_get_int(
-                obj, "n_segments", int(constant("front_end_segments")), path
-            ),
-        )
-
-    def to_obj(self) -> dict:
-        if self.kind == "ideal":
-            return {"kind": self.kind}
-        if self.kind == "imperfect_qwp":
-            return {
-                "kind": self.kind,
-                "cut_deviation_m": self.cut_deviation_m,
-                "splice_angle_rad": self.splice_angle_rad,
-            }
-        return {
-            "kind": self.kind,
-            "medium": self.medium.to_obj(),
-            "n_segments": self.n_segments,
-        }
+        else:
+            length = float(constant("spun_fiber_total_length_m"))
+            profile = ProfileConfig(
+                "constant", float(constant("spun_fiber_xi_over_delta")), 0.0, 0.0
+            )
+        beat = float(constant("wavelength_m")) / float(constant("birefringence_delta_n"))
+        medium = MediumConfig(length, beat, profile)
+        return cls(kind, medium=medium, n_segments=int(constant("front_end_segments")))
 
     def build(self) -> FrontEnd:
         if self.kind == "ideal":
@@ -243,39 +206,19 @@ class FrontEndConfig:
                 splice_angle_rad=self.splice_angle_rad,
             )
             return front_end_imperfect(plate)
-        medium = self.medium.build()
-        if self.kind == "spun_fiber":
-            return front_end_spun(medium, self.n_segments)
-        return front_end_high_order(medium, self.n_segments)
+        medium = self.medium.build("front_end.medium")
+        make = front_end_spun if self.kind == "spun_fiber" else front_end_high_order
+        try:
+            return make(medium, self.n_segments)
+        except ValueError as exc:
+            raise ConfigError(str(exc), "front_end.medium") from exc
 
 
 @dataclass(frozen=True)
 class CoilConfig:
-    verdet_rad_per_amp_turn: float
-    turns: int
-    current_a: float
-
-    @classmethod
-    def parse(cls, obj, path: str) -> "CoilConfig":
-        obj = _require_mapping(obj, path)
-        _reject_unknown(obj, ("verdet_rad_per_amp_turn", "turns", "current_a"), path)
-        return cls(
-            verdet_rad_per_amp_turn=_get_float(
-                obj,
-                "verdet_rad_per_amp_turn",
-                float(constant("verdet_rad_per_amp_turn")),
-                path,
-            ),
-            turns=_get_int(obj, "turns", int(constant("coil_turns")), path),
-            current_a=_get_float(obj, "current_a", 1000.0, path),
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "verdet_rad_per_amp_turn": self.verdet_rad_per_amp_turn,
-            "turns": self.turns,
-            "current_a": self.current_a,
-        }
+    verdet_rad_per_amp_turn: float = _key(_number)
+    turns: int = _key(_integer(1))
+    current_a: float = _key(_number)
 
     def build(self) -> FaradayCoil:
         return FaradayCoil.from_current(
@@ -287,158 +230,46 @@ class CoilConfig:
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    n_segments: int
-    metric_kind: str
-    stride: int
-
-    @classmethod
-    def parse(cls, obj, path: str) -> "TrajectoryConfig":
-        obj = _require_mapping(obj, path)
-        _reject_unknown(obj, ("n_segments", "metric_kind", "stride"), path)
-        out = cls(
-            n_segments=_get_int(obj, "n_segments", int(constant("sweep_segments")), path),
-            metric_kind=_get_str(obj, "metric_kind", "principal", path, _METRIC_KINDS),
-            stride=_get_int(obj, "stride", 1000, path),
-        )
-        if out.stride < 1:
-            raise ConfigError("stride must be at least 1", f"{path}.stride")
-        return out
-
-    def to_obj(self) -> dict:
-        return {
-            "n_segments": self.n_segments,
-            "metric_kind": self.metric_kind,
-            "stride": self.stride,
-        }
+    n_segments: int = _key(_integer(1))
+    metric_kind: str = _key(_one_of(("principal", "axis_ratio")))
+    stride: int = _key(_integer(1))
 
 
 @dataclass(frozen=True)
 class CurrentSweepConfig:
-    max_a: float
-    points: int
-
-    @classmethod
-    def parse(cls, obj, path: str) -> "CurrentSweepConfig":
-        obj = _require_mapping(obj, path)
-        _reject_unknown(obj, ("max_a", "points"), path)
-        out = cls(
-            max_a=_get_float(obj, "max_a", float(constant("current_max_a")), path),
-            points=_get_int(obj, "points", int(constant("current_points")), path),
-        )
-        if out.points < 2:
-            raise ConfigError("need at least two points", f"{path}.points")
-        return out
-
-    def to_obj(self) -> dict:
-        return {"max_a": self.max_a, "points": self.points}
+    max_a: float = _key(_number)
+    points: int = _key(_integer(2))
 
 
 @dataclass(frozen=True)
 class XiSweepConfig:
-    ratios: tuple[float, ...]
-    profiles: tuple[str, ...]
-    n_segments: int
-
-    @classmethod
-    def parse(cls, obj, path: str) -> "XiSweepConfig":
-        obj = _require_mapping(obj, path)
-        _reject_unknown(obj, ("ratios", "profiles", "n_segments"), path)
-        ratios = obj.get("ratios", [1.0, 3.0, 5.0, 10.0])
-        if not isinstance(ratios, list) or not ratios or any(
-            isinstance(r, bool) or not isinstance(r, (int, float)) for r in ratios
-        ):
-            raise ConfigError("expected a non-empty list of numbers", f"{path}.ratios")
-        profiles = obj.get("profiles", ["linear", "cosine"])
-        if not isinstance(profiles, list) or not profiles or any(
-            not isinstance(p, str) or p not in _PROFILE_KINDS for p in profiles
-        ):
-            raise ConfigError(
-                f"expected a non-empty list from {', '.join(_PROFILE_KINDS)}",
-                f"{path}.profiles",
-            )
-        return cls(
-            ratios=tuple(float(r) for r in ratios),
-            profiles=tuple(profiles),
-            n_segments=_get_int(obj, "n_segments", int(constant("sweep_segments")), path),
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "ratios": list(self.ratios),
-            "profiles": list(self.profiles),
-            "n_segments": self.n_segments,
-        }
+    ratios: tuple[float, ...] = _key(_list_of(_number))
+    profiles: tuple[str, ...] = _key(_list_of(_one_of(_PROFILE_KINDS)))
+    n_segments: int = _key(_integer(1))
 
 
 @dataclass(frozen=True)
 class PerturbationConfig:
-    wavelength_drift_m: float
-    temperature_excursion_c: float
-    n_segments: int
-
-    @classmethod
-    def parse(cls, obj, path: str) -> "PerturbationConfig":
-        obj = _require_mapping(obj, path)
-        _reject_unknown(
-            obj, ("wavelength_drift_m", "temperature_excursion_c", "n_segments"), path
-        )
-        return cls(
-            wavelength_drift_m=_get_float(
-                obj, "wavelength_drift_m", float(constant("wavelength_drift_m")), path
-            ),
-            temperature_excursion_c=_get_float(
-                obj,
-                "temperature_excursion_c",
-                float(constant("temperature_excursion_c")),
-                path,
-            ),
-            n_segments=_get_int(obj, "n_segments", int(constant("sweep_segments")), path),
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "wavelength_drift_m": self.wavelength_drift_m,
-            "temperature_excursion_c": self.temperature_excursion_c,
-            "n_segments": self.n_segments,
-        }
+    wavelength_drift_m: float = _key(_wavelength_drift)
+    temperature_excursion_c: float = _key(_number)
+    n_segments: int = _key(_integer(1))
 
 
 @dataclass(frozen=True)
 class ConvergenceConfig:
-    segment_counts: tuple[int, ...]
-    reference_n: int
+    segment_counts: tuple[int, ...] = _key(_list_of(_integer(1)))
+    reference_n: int = _key(_integer(1))
 
-    @classmethod
-    def parse(cls, obj, path: str) -> "ConvergenceConfig":
-        obj = _require_mapping(obj, path)
-        _reject_unknown(obj, ("segment_counts", "reference_n"), path)
-        counts = obj.get("segment_counts", [16384, 32768, 65536, 131072])
-        if not isinstance(counts, list) or not counts or any(
-            isinstance(c, bool) or not isinstance(c, int) or c < 1 for c in counts
-        ):
+    def __post_init__(self):
+        if any(c >= self.reference_n for c in self.segment_counts):
             raise ConfigError(
-                "expected a non-empty list of positive integers", f"{path}.segment_counts"
+                "reference_n must exceed every probe count", "convergence.reference_n"
             )
-        out = cls(
-            segment_counts=tuple(counts),
-            reference_n=_get_int(obj, "reference_n", 1 << 20, path),
-        )
-        if any(c >= out.reference_n for c in out.segment_counts):
-            raise ConfigError(
-                "reference_n must exceed every probe count", f"{path}.reference_n"
-            )
-        return out
-
-    def to_obj(self) -> dict:
-        return {
-            "segment_counts": list(self.segment_counts),
-            "reference_n": self.reference_n,
-        }
 
 
 @dataclass(frozen=True)
 class AppConfig:
-    schema_version: str
+    schema_version: str = _key(_schema_version)
     front_end: FrontEndConfig
     coil: CoilConfig
     medium: MediumConfig
@@ -449,68 +280,114 @@ class AppConfig:
     convergence: ConvergenceConfig
 
 
-_TOP_KEYS = (
-    "schema_version",
-    "front_end",
-    "coil",
-    "medium",
-    "trajectory",
-    "current_sweep",
-    "xi_sweep",
-    "perturbation",
-    "convergence",
-    "constants",
-)
+def default_config() -> AppConfig:
+    sweep_segments = int(constant("sweep_segments"))
+    return AppConfig(
+        schema_version=SCHEMA_VERSION,
+        front_end=FrontEndConfig.default("ideal"),
+        coil=CoilConfig(
+            verdet_rad_per_amp_turn=float(constant("verdet_rad_per_amp_turn")),
+            turns=int(constant("coil_turns")),
+            current_a=1000.0,
+        ),
+        medium=MediumConfig(
+            total_length_m=float(constant("medium_total_length_m")),
+            beat_length_m=float(constant("medium_beat_length_m")),
+            profile=ProfileConfig(
+                kind=str(constant("medium_profile")),
+                xi_over_delta=float(constant("medium_xi_over_delta")),
+                lead_in_l1_m=float(constant("medium_lead_in_m")),
+                transition_l2_m=float(constant("medium_transition_m")),
+            ),
+        ),
+        trajectory=TrajectoryConfig(
+            n_segments=sweep_segments, metric_kind="principal", stride=1000
+        ),
+        current_sweep=CurrentSweepConfig(
+            max_a=float(constant("current_max_a")),
+            points=int(constant("current_points")),
+        ),
+        xi_sweep=XiSweepConfig(
+            ratios=(1.0, 3.0, 5.0, 10.0),
+            profiles=("linear", "cosine"),
+            n_segments=sweep_segments,
+        ),
+        perturbation=PerturbationConfig(
+            wavelength_drift_m=float(constant("wavelength_drift_m")),
+            temperature_excursion_c=float(constant("temperature_excursion_c")),
+            n_segments=sweep_segments,
+        ),
+        convergence=ConvergenceConfig(
+            segment_counts=(16384, 32768, 65536, 131072), reference_n=1 << 20
+        ),
+    )
+
+
+# ------------------------------------------------------ reading and writing
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _parse(default, obj, path: str = ""):
+    """`default` with every key of `obj` read over it through its check."""
+    if not isinstance(obj, dict):
+        raise ConfigError("expected an object", path)
+    if isinstance(default, FrontEndConfig) and obj.get("kind", default.kind) != default.kind:
+        default = FrontEndConfig.default(_front_end_kind(obj["kind"], _join(path, "kind")))
+    known = {f.name: f for f in fields(default) if getattr(default, f.name) is not None}
+    changes = {}
+    for key, value in obj.items():
+        where = _join(path, key)
+        if key not in known:
+            raise ConfigError("unknown key", where)
+        current = getattr(default, key)
+        if is_dataclass(current):
+            changes[key] = _parse(current, value, where)
+        else:
+            changes[key] = known[key].metadata["check"](value, where)
+    return replace(default, **changes) if changes else default
+
+
+def _to_obj(section) -> dict:
+    """The section as a JSON object, keys in field order, unused keys left out."""
+    out = {}
+    for f in fields(section):
+        v = getattr(section, f.name)
+        if is_dataclass(v):
+            out[f.name] = _to_obj(v)
+        elif v is not None:
+            out[f.name] = list(v) if isinstance(v, tuple) else v
+    return out
 
 
 def _check_constants_block(obj, path: str) -> None:
-    obj = _require_mapping(obj, path)
+    if not isinstance(obj, dict):
+        raise ConfigError("expected an object", path)
     for name, entry in obj.items():
+        where = f"{path}.{name}"
         if name not in ASSUMED_CONSTANTS:
-            raise ConfigError("not an assumed constant of this build", f"{path}.{name}")
-        entry = _require_mapping(entry, f"{path}.{name}")
-        _reject_unknown(entry, ("value", "source"), f"{path}.{name}")
-        value, source = ASSUMED_CONSTANTS[name]
-        if "value" in entry and entry["value"] != value:
-            raise ConfigError(
-                f"value {entry['value']!r} disagrees with this build ({value!r})",
-                f"{path}.{name}.value",
-            )
-        if "source" in entry and entry["source"] != source:
-            raise ConfigError(
-                f"source tag disagrees with this build ({source!r})",
-                f"{path}.{name}.source",
-            )
+            raise ConfigError("not an assumed constant of this build", where)
+        if not isinstance(entry, dict):
+            raise ConfigError("expected an object", where)
+        want = dict(zip(("value", "source"), ASSUMED_CONSTANTS[name]))
+        for key, value in entry.items():
+            if key not in want:
+                raise ConfigError("unknown key", f"{where}.{key}")
+            if value != want[key]:
+                raise ConfigError(
+                    f"{key} {value!r} disagrees with this build ({want[key]!r})",
+                    f"{where}.{key}",
+                )
 
 
-def parse_config(obj: object) -> AppConfig:
-    obj = _require_mapping(obj, "")
-    _reject_unknown(obj, _TOP_KEYS, "")
-    version = _get_str(obj, "schema_version", SCHEMA_VERSION, "")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported schema version {version!r}, this build reads {SCHEMA_VERSION!r}",
-            "schema_version",
-        )
-    if "constants" in obj:
+def parse_config(obj: object, base: AppConfig | None = None) -> AppConfig:
+    """Read a config document over `base` (the defaults when None)."""
+    if isinstance(obj, dict) and "constants" in obj:
         _check_constants_block(obj["constants"], "constants")
-    return AppConfig(
-        schema_version=version,
-        front_end=FrontEndConfig.parse(obj.get("front_end", {}), "front_end"),
-        coil=CoilConfig.parse(obj.get("coil", {}), "coil"),
-        medium=MediumConfig.parse(
-            obj.get("medium", {}), "medium", default_medium_config()
-        ),
-        trajectory=TrajectoryConfig.parse(obj.get("trajectory", {}), "trajectory"),
-        current_sweep=CurrentSweepConfig.parse(
-            obj.get("current_sweep", {}), "current_sweep"
-        ),
-        xi_sweep=XiSweepConfig.parse(obj.get("xi_sweep", {}), "xi_sweep"),
-        perturbation=PerturbationConfig.parse(
-            obj.get("perturbation", {}), "perturbation"
-        ),
-        convergence=ConvergenceConfig.parse(obj.get("convergence", {}), "convergence"),
-    )
+        obj = {k: v for k, v in obj.items() if k != "constants"}
+    return _parse(default_config() if base is None else base, obj)
 
 
 def load_config(path: str) -> AppConfig:
@@ -526,24 +403,10 @@ def load_config(path: str) -> AppConfig:
     return parse_config(obj)
 
 
-def default_config() -> AppConfig:
-    return parse_config({})
-
-
 def serialize_config(cfg: AppConfig) -> str:
-    obj = {
-        "schema_version": cfg.schema_version,
-        "front_end": cfg.front_end.to_obj(),
-        "coil": cfg.coil.to_obj(),
-        "medium": cfg.medium.to_obj(),
-        "trajectory": cfg.trajectory.to_obj(),
-        "current_sweep": cfg.current_sweep.to_obj(),
-        "xi_sweep": cfg.xi_sweep.to_obj(),
-        "perturbation": cfg.perturbation.to_obj(),
-        "convergence": cfg.convergence.to_obj(),
-        "constants": {
-            name: {"value": value, "source": source}
-            for name, (value, source) in sorted(ASSUMED_CONSTANTS.items())
-        },
+    obj = _to_obj(cfg)
+    obj["constants"] = {
+        name: {"value": value, "source": source}
+        for name, (value, source) in sorted(ASSUMED_CONSTANTS.items())
     }
     return json.dumps(obj, indent=1) + "\n"

@@ -25,6 +25,7 @@ from .elements import (
     ImperfectWaveplate,
     detected_intensity,
 )
+from .errors import NumericDomainError
 from .jones import JonesMatrix
 from .spun import (
     EllipticityTrajectory,
@@ -360,6 +361,8 @@ def run_perturbation_study(
         delta_at_temperature(d0, t0 + dtemp),
     ]
     base, wl_lo, wl_hi, t_lo, t_hi = (metrics_at(d) for d in jobs)
+    if base.delta_eps_pp == 0.0 or base.rms_eps == 0.0:
+        raise NumericDomainError("relative ripple increase undefined: the base ripple is zero")
 
     def axis(label, lo_val, hi_val, lo_m, hi_m) -> PerturbationAxis:
         pp = 100.0 * (max(lo_m.delta_eps_pp, hi_m.delta_eps_pp) / base.delta_eps_pp - 1.0)

@@ -1,10 +1,12 @@
-"""End-to-end CLI checks through real subprocesses.
+"""End-to-end CLI checks.
 
 Byte comparisons against the committed golden outputs pin the default
 scenario and the output formatting at once; everything else checks the
-exit-code contract and flag plumbing.
+exit-code contract and flag plumbing. Most checks run real subprocesses;
+the many small runs of the malformed-input checks call cli.main in-process.
 """
 
+import copy
 import json
 import math
 import os
@@ -14,7 +16,8 @@ import sys
 from dataclasses import replace
 
 import focsim as fs
-from focsim.config import default_config
+from focsim import cli
+from focsim.config import default_config, parse_config, serialize_config
 from focsim.constants import constants_fingerprint
 from focsim.tables import ResultTable, render
 
@@ -135,7 +138,14 @@ def test_converge_emits_ratio_column():
     assert last[2] == ""  # no ratio below the last rung
 
 
-def test_bad_config_exits_2_with_the_key_path(tmp_path):
+def run_main(capsys, *args):
+    """cli.main in-process: (exit code, stdout, stderr)."""
+    code = cli.main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_bad_config_exits_2_with_the_key_path(tmp_path, capsys, monkeypatch):
     p = tmp_path / "bad.json"
     p.write_text('{"medium": {"profile": {"bogus": 1}}}')
     proc = run_cli("simulate", "--config", str(p), check=False)
@@ -143,6 +153,122 @@ def test_bad_config_exits_2_with_the_key_path(tmp_path):
     assert "config error" in proc.stderr
     assert "medium.profile.bogus" in proc.stderr
     assert proc.stdout == ""
+    # a flag fails exactly like the same value under its key in a file
+    monkeypatch.delenv("FOCSIM_THREADS", raising=False)
+    cases = [
+        (("trajectory", "--stride", "0"), "trajectory.stride", 0),
+        (("trajectory", "--stride", "-3"), "trajectory.stride", -3),
+        (("sweep-current", "--points", "1"), "current_sweep.points", 1),
+        (("converge", "--counts", "0"), "convergence.segment_counts", [0]),
+        (("trajectory", "--segments", "0"), "trajectory.n_segments", 0),
+        (("sweep-xi", "--segments", "0"), "xi_sweep.n_segments", 0),
+        (("perturb", "--segments", "0"), "perturbation.n_segments", 0),
+        (("simulate", "--current-a", "nan"), "coil.current_a", math.nan),
+        (("simulate", "--current-a", "inf"), "coil.current_a", math.inf),
+        (("sweep-current", "--max-a", "nan"), "current_sweep.max_a", math.nan),
+        (("sweep-xi", "--ratios", "nan"), "xi_sweep.ratios", [math.nan]),
+        (("sweep-xi", "--profiles", "tri"), "xi_sweep.profiles", ["tri"]),
+    ]
+    for argv, key, value in cases:
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert err.startswith(f"focsim: config error: {key}: "), (argv, err)
+        section, name = key.split(".")
+        p.write_text(json.dumps({section: {name: value}}))
+        assert run_main(capsys, argv[0], "--config", str(p)) == (2, "", err), argv
+
+
+# every value a single key is set to in turn
+_MUTANTS = (math.nan, math.inf, -math.inf, 0, -1, True, "x", None, [], {})
+
+# the subcommands that read each section, besides print-config, which reads
+# them all (schema_version and the constants block only reach print-config:
+# every subcommand parses them the same way)
+_READERS = {
+    "front_end": ("simulate", "sweep-current"),
+    "coil": ("simulate", "sweep-current"),
+    "current_sweep": ("sweep-current",),
+    "medium": ("trajectory", "sweep-xi", "perturb", "converge"),
+    "trajectory": ("trajectory",),
+    "xi_sweep": ("sweep-xi",),
+    "perturbation": ("perturb",),
+    "convergence": ("converge",),
+}
+
+_SMALL = {
+    "trajectory": {"n_segments": 2000, "stride": 100},
+    "current_sweep": {"points": 21},
+    "xi_sweep": {"n_segments": 2000},
+    "perturbation": {"n_segments": 2000},
+    "convergence": {"segment_counts": [256, 512], "reference_n": 4096},
+}
+
+
+def _leaf_keys(obj, path=()):
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _with_value(doc, key, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for part in key[:-1]:
+        node = node[part]
+    node[key[-1]] = value
+    return doc
+
+
+def _table_is_finite(csv_text: str) -> bool:
+    """No nan/inf cell, except i_out/relative_error_pct on fringe-null rows."""
+    lines = csv_text.splitlines()
+    columns = lines[1].split(",")
+    for line in lines[2:]:
+        row = dict(zip(columns, line.split(",")))
+        # the closed-form i_ideal of a numeric null sits at rounding level
+        null_row = float(row.get("i_ideal", "1")) < 1e-12
+        for column, cell in row.items():
+            try:
+                x = float(cell)
+            except ValueError:
+                continue  # text, booleans and empty cells
+            if not math.isfinite(x) and not (
+                null_row and column in ("i_out", "relative_error_pct")
+            ):
+                return False
+    return True
+
+
+def test_single_key_mutations_exit_cleanly(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FOCSIM_THREADS", raising=False)
+    p = tmp_path / "mutant.json"
+    failures, runs = [], 0
+    for kind in ("ideal", "imperfect_qwp", "spun_fiber", "high_order_qwp"):
+        front_end = {"kind": kind}
+        if kind in ("spun_fiber", "high_order_qwp"):
+            front_end["n_segments"] = 2000
+        base = json.loads(serialize_config(parse_config({**_SMALL, "front_end": front_end})))
+        for key in _leaf_keys(base):
+            if kind != "ideal" and key[0] != "front_end":
+                continue  # the other sections were mutated with the ideal front end
+            for value in _MUTANTS:
+                p.write_text(json.dumps(_with_value(base, key, value)))
+                for command in _READERS.get(key[0], ()) + ("print-config",):
+                    runs += 1
+                    case = (".".join(key), value, command)
+                    try:
+                        code = cli.main([command, "--config", str(p)])
+                    except Exception as exc:
+                        failures.append((*case, repr(exc)))
+                        continue
+                    out = capsys.readouterr().out
+                    if code not in (0, 2, 3):
+                        failures.append((*case, f"exit {code}"))
+                    elif code == 0 and command != "print-config" and not _table_is_finite(out):
+                        failures.append((*case, "non-finite table"))
+    assert not failures, f"{len(failures)} of {runs} runs failed: {failures[:20]}"
 
 
 def test_fringe_null_exits_3_naming_the_current():

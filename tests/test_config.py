@@ -7,6 +7,7 @@ import pytest
 
 import focsim as fs
 from focsim.config import (
+    FrontEndConfig,
     default_config,
     load_config,
     parse_config,
@@ -163,6 +164,40 @@ def test_front_end_kinds_parse_and_build():
     assert fe.medium.total_length_m == 0.05
     assert fe.medium.profile.kind == "constant"
     assert fe.n_segments == 5000
+
+
+def test_partial_front_end_profile_keeps_the_device_defaults():
+    # a front-end medium key left out keeps the device's default, at every
+    # depth, never the lab medium's
+    for kind in ("spun_fiber", "high_order_qwp"):
+        device = FrontEndConfig.default(kind).medium.profile
+        cfg = parse_config(
+            {"front_end": {"kind": kind, "medium": {"profile": {"xi_over_delta": 3}}}}
+        )
+        profile = cfg.front_end.medium.profile
+        assert profile.kind == device.kind
+        assert profile.transition_l2_m == device.transition_l2_m
+        assert profile.xi_over_delta == 3.0
+        fe = cfg.front_end.build()
+        assert fe.medium.profile.kind == device.kind
+        assert fe.medium.profile.transition_l2_m == device.transition_l2_m
+    assert FrontEndConfig.default("spun_fiber").medium.profile.kind == "constant"
+    assert FrontEndConfig.default("high_order_qwp").medium.profile.transition_l2_m == (
+        constant("ho_qwp_transition_m")
+    )
+
+
+def test_medium_geometry_fails_at_build_with_the_section_path():
+    cfg = parse_config({"medium": {"total_length_m": 0.01}})  # shorter than L2
+    with pytest.raises(ConfigError) as e:
+        cfg.medium.build()
+    assert _path_of(e) == "medium"
+    cfg = parse_config(
+        {"front_end": {"kind": "spun_fiber", "medium": {"profile": {"kind": "cosine"}}}}
+    )
+    with pytest.raises(ConfigError) as e:
+        cfg.front_end.build()
+    assert _path_of(e) == "front_end.medium"
 
 
 def test_serialize_parse_is_a_fixed_point():

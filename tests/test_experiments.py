@@ -249,6 +249,15 @@ def test_perturbation_study_matches_frozen(perturbation_result):
     assert res.temperature.rms_increase_pct == pytest.approx(want_rms_t, rel=1e-6)
 
 
+def test_perturbation_study_rejects_a_zero_base_ripple():
+    # an unspun medium settles with no ripple at all, so a relative
+    # increase over it is undefined
+    med = fs.default_demo_medium()
+    unspun = replace(med, profile=replace(med.profile, xi_max_rad_per_m=0.0))
+    with pytest.raises(fs.NumericDomainError, match="base ripple is zero"):
+        fs.run_perturbation_study(unspun, 2000)
+
+
 def test_delta_scaling_laws():
     assert delta_at_wavelength(100.0, 1.0e-6, 2.0e-6) == 50.0
     k = constant("temperature_coeff_per_c")
