@@ -72,12 +72,10 @@ def _trajectory(cfg: AppConfig) -> ResultTable:
         metric_kind=cfg.trajectory.metric_kind,
     )
     n = cfg.trajectory.n_segments
-    idx = list(range(0, n + 1, cfg.trajectory.stride))
+    idx = np.arange(0, n + 1, cfg.trajectory.stride)
     if idx[-1] != n:
-        idx.append(n)
-    rows = tuple(
-        (float(traj.z_m[i]), float(traj.epsilon[i])) for i in idx
-    )
+        idx = np.append(idx, n)
+    rows = tuple(zip(traj.z_m[idx].tolist(), traj.epsilon[idx].tolist()))
     return ResultTable(
         columns=("z_m", "epsilon"),
         rows=rows,

@@ -30,7 +30,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .constants import constant
-from .errors import FringeNullError, RetardationSingularityError
+from .errors import FringeNullError, NumericDomainError, RetardationSingularityError
 from .jones import (
     IDENTITY,
     JonesMatrix,
@@ -204,6 +204,9 @@ class FaradayCoil:
     current_a: float | None = None
 
     def __post_init__(self):
+        # finite coil keys can still overflow verdet*turns*current
+        if not np.isfinite(self.rotation_angle_f_rad).all():
+            raise NumericDomainError("Faraday rotation is not finite")
         if None not in (self.verdet_rad_per_amp_turn, self.turns, self.current_a):
             implied = self.verdet_rad_per_amp_turn * self.turns * self.current_a
             if abs(implied - self.rotation_angle_f_rad) > 1e-12 * max(

@@ -228,7 +228,11 @@ def _segment_pairs(
     """
     dz = spec.total_length_m / n
     offset = 0.5 if angle_rule == "midpoint" else 0.0
-    theta = spec.profile.spin_angle((np.arange(lo, hi, dtype=np.float64) + offset) * dz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = spec.profile.spin_angle((np.arange(lo, hi, dtype=np.float64) + offset) * dz)
+    # a finite spin rate can still overflow theta over the length
+    if not np.isfinite(theta).all():
+        raise NumericDomainError("spin angle is not finite")
     c, s = np.cos(theta), np.sin(theta)
     ep = complex(math.cos(0.5 * spec.delta_rad_per_m * dz), math.sin(0.5 * spec.delta_rad_per_m * dz))
     em = ep.conjugate()

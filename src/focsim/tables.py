@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .constants import SCHEMA_VERSION, constants_fingerprint
 
@@ -26,9 +27,10 @@ class ResultTable:
     def __post_init__(self):
         if not self.columns:
             raise ValueError("table needs at least one column")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise ValueError(f"row {i} has {len(row)} cells, expected {len(self.columns)}")
+        width = len(self.columns)
+        if set(map(len, self.rows)) - {width}:
+            i, row = next((i, r) for i, r in enumerate(self.rows) if len(r) != width)
+            raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
 
     def metadata(self) -> dict[str, object]:
         md: dict[str, object] = {
@@ -63,9 +65,15 @@ def to_csv(table: ResultTable) -> str:
         head += f", grid_n={md['grid_n']}"
     for k, v in table.extra_metadata:
         head += f", {k}={v}"
-    lines = [head, ",".join(table.columns)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in table.rows)
-    return "\n".join(lines) + "\n"
+    head += "\n" + ",".join(table.columns) + "\n"
+    if set(map(type, chain.from_iterable(table.rows))) == {float}:
+        # "%.17g" % v is format(v, ".17g"). One template over every cell keeps
+        # the per-cell work in C; the head goes into the template (its "%"
+        # escaped) so a large table is not copied once more to prepend it.
+        row = ",".join(["%.17g"] * len(table.columns)) + "\n"
+        template = head.replace("%", "%%") + row * len(table.rows)
+        return template % tuple(chain.from_iterable(table.rows))
+    return head + "".join(",".join(map(_csv_cell, row)) + "\n" for row in table.rows)
 
 
 def _json_cell(v: Cell) -> Cell:

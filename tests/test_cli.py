@@ -127,6 +127,45 @@ def test_trajectory_stride_and_metric():
     assert "metric=axis_ratio" in proc.stdout.splitlines()[0]
 
 
+def test_trajectory_rows_match_the_library_scan(capsys, monkeypatch):
+    monkeypatch.delenv("FOCSIM_THREADS", raising=False)
+    medium = default_config().medium.build()
+    n = 3001
+    traj = fs.propagate_trajectory(medium, fs.grid_for(medium, n))
+    for stride in (1, 7):  # 7 does not divide 3001: the endpoint is appended
+        idx = list(range(0, n + 1, stride))
+        if idx[-1] != n:
+            idx.append(n)
+        want = [
+            f"# schema=1, constants={constants_fingerprint()}, grid_n={n}, metric=principal",
+            "z_m,epsilon",
+        ]
+        want += [
+            format(float(traj.z_m[i]), ".17g") + "," + format(float(traj.epsilon[i]), ".17g")
+            for i in idx
+        ]
+        code, out, err = run_main(capsys, "trajectory", "--segments", str(n), "--stride", str(stride))
+        assert (code, out) == (0, "\n".join(want) + "\n"), (stride, err)
+
+
+def test_overflowing_finite_configs_exit_3(tmp_path):
+    # every key passes its own check, but the model overflows: the Faraday
+    # angle verdet*turns*current, or the spin angle theta(z)
+    cases = {
+        "verdet.json": ({"coil": {"verdet_rad_per_amp_turn": 1e308}}, ("simulate", "sweep-current")),
+        "xi.json": ({"medium": {"profile": {"xi_over_delta": 1e308}}}, ("trajectory", "converge")),
+    }
+    for name, (doc, commands) in cases.items():
+        p = tmp_path / name
+        p.write_text(json.dumps(doc))
+        for command in commands:
+            proc = run_cli(command, "--config", str(p), check=False)
+            assert proc.returncode == 3, (name, command, proc.stderr)
+            assert "numeric domain error" in proc.stderr, (name, command, proc.stderr)
+            assert "Traceback" not in proc.stderr, (name, command, proc.stderr)
+            assert proc.stdout == "", (name, command)
+
+
 def test_converge_emits_ratio_column():
     proc = run_cli("converge", "--counts", "256,512", "--reference-n", "4096")
     lines = proc.stdout.splitlines()

@@ -2,11 +2,14 @@
 
 import json
 import math
+import random
+import struct
 
+import numpy as np
 import pytest
 
 from focsim.constants import SCHEMA_VERSION, constants_fingerprint
-from focsim.tables import ResultTable, from_json, render, to_csv, to_json
+from focsim.tables import ResultTable, _csv_cell, from_json, render, to_csv, to_json
 
 
 def test_row_width_is_enforced():
@@ -14,6 +17,69 @@ def test_row_width_is_enforced():
         ResultTable(columns=(), rows=())
     with pytest.raises(ValueError):
         ResultTable(columns=("a", "b"), rows=((1.0,),))
+    # the message names the first bad row, whichever way it is wrong
+    rows = ((1.0, 2.0), (3.0, 4.0), (5.0,), (6.0, 7.0, 8.0))
+    with pytest.raises(ValueError, match=r"^row 2 has 1 cells, expected 2$"):
+        ResultTable(columns=("a", "b"), rows=rows)
+    with pytest.raises(ValueError, match=r"^row 0 has 3 cells, expected 2$"):
+        ResultTable(columns=("a", "b"), rows=rows[3:] + rows[:3])
+
+
+def _per_cell_csv(t: ResultTable) -> str:
+    """Reference rendering: every cell through _csv_cell, one row at a time."""
+    head = f"# schema={SCHEMA_VERSION}, constants={constants_fingerprint()}"
+    if t.grid_n is not None:
+        head += f", grid_n={t.grid_n}"
+    for k, v in t.extra_metadata:
+        head += f", {k}={v}"
+    lines = [head, ",".join(t.columns)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in t.rows)
+    return "\n".join(lines) + "\n"
+
+
+def _random_doubles(rng: random.Random, n: int) -> list[float]:
+    """Doubles from uniform random bit patterns: every exponent, NaN payloads."""
+    return [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(n)]
+
+
+_EDGE_FLOATS = (
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 123456789012345678.0,
+)
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_all_float_csv_matches_the_per_cell_rendering(width):
+    rng = random.Random(width)
+    cells = list(_EDGE_FLOATS) + _random_doubles(rng, 2000)
+    cells += [0.0] * (-len(cells) % width)
+    rows = tuple(tuple(cells[i : i + width]) for i in range(0, len(cells), width))
+    # "%" in the column names and the metadata must come out literally
+    t = ResultTable(
+        columns=tuple(f"c{j}%s" for j in range(width)),
+        rows=rows,
+        grid_n=7,
+        extra_metadata=(("metric", "100%d"),),
+    )
+    assert to_csv(t) == _per_cell_csv(t)
+    for some in (rows[:0], rows[:1]):
+        t = ResultTable(columns=t.columns, rows=some)
+        assert to_csv(t) == _per_cell_csv(t)
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [7, 0, True, False, None, "linear", np.float64(0.1), np.float64(math.nan)],
+    ids=repr,
+)
+def test_mixed_csv_matches_the_per_cell_rendering(odd):
+    # one cell of another type among floats takes every cell through _csv_cell
+    rows = ((0.5, -0.0, math.inf), (1e-300, odd, math.nan), (2.0, 3.0, 4.0))
+    t = ResultTable(columns=("a", "b", "c"), rows=rows)
+    assert to_csv(t) == _per_cell_csv(t)
+    t = ResultTable(columns=("b",), rows=((odd,),))
+    assert to_csv(t) == _per_cell_csv(t)
 
 
 def test_csv_cell_forms():

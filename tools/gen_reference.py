@@ -18,6 +18,7 @@ def main() -> int:
         "default_sweep.csv": ["sweep-current", "--format", "csv"],
         "default_sweep.json": ["sweep-current", "--format", "json"],
         "default_simulate.csv": ["simulate", "--format", "csv"],
+        "default_config.json": ["print-config"],
     }
     for name, args in jobs.items():
         out = GOLDEN / name
