@@ -38,11 +38,7 @@ _SWEEP_COLUMNS = ("current_a", "faraday_rad", "i_out", "i_ideal", "relative_erro
 def _simulate(cfg: AppConfig) -> ResultTable:
     fe = cfg.front_end.build()
     coil = cfg.coil.build()
-    scenario = FocsScenario(
-        coil=coil,
-        waveplate=fe.waveplate,
-        converter_override=fe.converter_override(),
-    )
+    scenario = FocsScenario(coil, fe.converter_pair())
     try:
         r = detected_intensity(scenario)
     except FringeNullError as exc:

@@ -107,17 +107,8 @@ class ImperfectWaveplate:
         cut_length_m: float,
         wavelength_m: float,
         beta_rad: float = 0.0,
-        literal_path_length: bool = False,
     ) -> "ImperfectWaveplate":
-        """Build from material and geometry.
-
-        literal_path_length treats rho as the bare path-length difference
-        delta_n * d instead of a phase; off by default, kept only for
-        comparing against conventions that quote rho that way.
-        """
-        if literal_path_length:
-            rho = delta_n * cut_length_m
-            return cls(rho, beta_rad)
+        """Build from material and geometry: rho = 2 pi delta_n d / lambda."""
         rho = 2 * math.pi * delta_n * cut_length_m / wavelength_m
         return cls(rho, beta_rad, delta_n, cut_length_m, wavelength_m)
 
@@ -237,30 +228,14 @@ class IntensityResult:
 
 @dataclass(frozen=True)
 class FocsScenario:
-    """One round trip: coil state plus the converter stage to use.
+    """One round trip: coil state plus the (forward, return) converter pair.
 
-    waveplate None means the ideal printed pair. A front-end matrix pair may
-    be injected directly (forward, return) to model spun-fiber converters;
-    see the experiments module.
+    converter None means the ideal printed pair. A front end's pair, for
+    every kind of converter, comes from FrontEnd.converter_pair().
     """
 
     coil: FaradayCoil
-    waveplate: ImperfectWaveplate | None = None
-    converter_override: tuple[JonesMatrix, JonesMatrix] | None = None
-
-    def converter_pair(self) -> tuple[JonesMatrix, JonesMatrix]:
-        """Forward and return converter matrices of the chain.
-
-        An injected override wins; otherwise a non-nominal plate is mounted
-        at 45 degrees, and no plate (or a nominal one) gives the ideal
-        printed pair.
-        """
-        if self.converter_override is not None:
-            return self.converter_override
-        if self.waveplate is None or self.waveplate.is_nominal():
-            return qwp_ideal_in(), qwp_ideal_out()
-        fwd = mount_at_45deg(qwp_imperfect(self.waveplate))
-        return fwd, np.conj(fwd)
+    converter: tuple[JonesMatrix, JonesMatrix] | None = None
 
 
 def _rotator_stack(angles_rad: Sequence[float]) -> npt.NDArray[np.complex128]:
@@ -307,9 +282,13 @@ def roundtrip_fields(
     return chain @ e_in
 
 
+def _ideal_pair() -> tuple[JonesMatrix, JonesMatrix]:
+    return qwp_ideal_in(), qwp_ideal_out()
+
+
 def roundtrip_field(s: FocsScenario, e_in: JonesVector | None = None) -> JonesVector:
     """Field at the detector after the full reflective pass."""
-    return roundtrip_fields(s.converter_pair(), (s.coil.rotation_angle_f_rad,), e_in)[0]
+    return roundtrip_fields(s.converter or _ideal_pair(), (s.coil.rotation_angle_f_rad,), e_in)[0]
 
 
 def ideal_intensity(f_rad: float) -> float:
@@ -333,8 +312,8 @@ def detected_intensity(s: FocsScenario, e_in: JonesVector | None = None) -> Inte
     f = s.coil.rotation_angle_f_rad
     swept = np.ndim(f) == 1
     angles = f if swept else (f,)
-    i_out = _intensities(roundtrip_fields(s.converter_pair(), angles, e_in))
-    i_ideal = _intensities(roundtrip_fields((qwp_ideal_in(), qwp_ideal_out()), angles, e_in))
+    i_out = _intensities(roundtrip_fields(s.converter or _ideal_pair(), angles, e_in))
+    i_ideal = _intensities(roundtrip_fields(_ideal_pair(), angles, e_in))
     null = i_ideal < FRINGE_FLOOR
     if not swept:
         if null[0]:

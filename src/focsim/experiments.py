@@ -24,6 +24,10 @@ from .elements import (
     FocsScenario,
     ImperfectWaveplate,
     detected_intensity,
+    mount_at_45deg,
+    qwp_ideal_in,
+    qwp_ideal_out,
+    qwp_imperfect,
 )
 from .errors import NumericDomainError
 from .jones import JonesMatrix
@@ -56,7 +60,8 @@ class FrontEnd:
     high_order_qwp are distributed media whose converter matrix is the
     propagation product over the whole medium. Distributed variants are
     described entirely by the medium geometry, there is no mounting angle
-    to misalign.
+    to misalign. converter_pair() is where a front end's matrices are
+    chosen, for every kind.
     """
 
     kind: str
@@ -84,16 +89,22 @@ class FrontEnd:
         else:
             raise ValueError(f"unknown front end kind {self.kind!r}")
 
-    def converter_override(self) -> tuple[JonesMatrix, JonesMatrix] | None:
-        """Forward and return converter matrices for distributed variants.
+    def converter_pair(self) -> tuple[JonesMatrix, JonesMatrix]:
+        """Forward and return converter matrices of the chain.
 
-        The return pass traverses the same medium backwards; for a
-        reciprocal retarder chain that is the matrix transpose.
+        The ideal front end and a nominal plate give the printed ideal pair;
+        any other plate is mounted at 45 degrees and returns through its
+        complex conjugate. A distributed medium returns through the
+        transpose of its propagation product: the same reciprocal retarder
+        chain traversed backwards.
         """
-        if self.medium is None:
-            return None
-        fwd = total_matrix(self.medium, grid_for(self.medium, self.n_segments))
-        return fwd, fwd.T
+        if self.medium is not None:
+            fwd = total_matrix(self.medium, grid_for(self.medium, self.n_segments))
+            return fwd, fwd.T
+        if self.waveplate is None or self.waveplate.is_nominal():
+            return qwp_ideal_in(), qwp_ideal_out()
+        fwd = mount_at_45deg(qwp_imperfect(self.waveplate))
+        return fwd, np.conj(fwd)
 
 
 def front_end_ideal() -> FrontEnd:
@@ -173,14 +184,10 @@ class SweepResult:
 
 def run_current_sweep(spec: CurrentSweepSpec) -> SweepResult:
     currents = np.asarray(spec.currents_a, dtype=np.float64)
-    f = spec.verdet_rad_per_amp_turn * spec.turns * currents
-    r = detected_intensity(
-        FocsScenario(
-            coil=FaradayCoil(f),
-            waveplate=spec.front_end.waveplate,
-            converter_override=spec.front_end.converter_override(),
-        )
-    )
+    # an overflowed V*N times a 0 A current is nan; FaradayCoil reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = spec.verdet_rad_per_amp_turn * spec.turns * currents
+    r = detected_intensity(FocsScenario(FaradayCoil(f), spec.front_end.converter_pair()))
     err = r.relative_error_pct
     ok = ~np.isnan(err)
     i_ideal = r.i_ideal

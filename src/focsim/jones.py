@@ -41,11 +41,6 @@ def jones_matrix(rows) -> JonesMatrix:
     return m
 
 
-def mat_mul(a: JonesMatrix, b: JonesMatrix) -> JonesMatrix:
-    """Composition a after b (standard matrix product)."""
-    return a @ b
-
-
 def apply(m: JonesMatrix, v: JonesVector) -> JonesVector:
     return m @ v
 

@@ -163,6 +163,7 @@ def test_overflowing_finite_configs_exit_3(tmp_path):
             assert proc.returncode == 3, (name, command, proc.stderr)
             assert "numeric domain error" in proc.stderr, (name, command, proc.stderr)
             assert "Traceback" not in proc.stderr, (name, command, proc.stderr)
+            assert "RuntimeWarning" not in proc.stderr, (name, command, proc.stderr)
             assert proc.stdout == "", (name, command)
 
 

@@ -72,14 +72,6 @@ def test_waveplate_from_cut_deviation():
     assert w.beta_rad == math.radians(2)
 
 
-def test_literal_path_length_flag():
-    w = fs.ImperfectWaveplate.from_physical(
-        delta_n=5e-4, cut_length_m=6.55e-4, wavelength_m=1.31e-6,
-        literal_path_length=True,
-    )
-    assert w.rho_rad == pytest.approx(5e-4 * 6.55e-4, rel=1e-15)
-
-
 def test_coil_construction():
     coil = fs.FaradayCoil.from_current(
         verdet_rad_per_amp_turn=1e-6, turns=355, current_a=2000.0
@@ -103,7 +95,10 @@ def test_ideal_roundtrip_closed_form():
 
 def test_detected_intensity_frozen_example():
     w = fs.ImperfectWaveplate(math.pi / 2, math.radians(1))
-    s = fs.FocsScenario(coil=fs.FaradayCoil(rotation_angle_f_rad=0.1), waveplate=w)
+    s = fs.FocsScenario(
+        coil=fs.FaradayCoil(rotation_angle_f_rad=0.1),
+        converter=fs.front_end_imperfect(w).converter_pair(),
+    )
     r = fs.detected_intensity(s)
     assert r.i_out == pytest.approx(_frozen.DETECTED_EXAMPLE["i_out"], rel=1e-12)
     assert r.i_ideal == pytest.approx(_frozen.DETECTED_EXAMPLE["i_ideal"], rel=1e-12)
@@ -114,7 +109,10 @@ def test_detected_intensity_frozen_example():
 
 def test_detected_intensity_nominal_plate_error_vanishes():
     w = fs.ImperfectWaveplate.nominal()
-    s = fs.FocsScenario(coil=fs.FaradayCoil(rotation_angle_f_rad=0.3), waveplate=w)
+    s = fs.FocsScenario(
+        coil=fs.FaradayCoil(rotation_angle_f_rad=0.3),
+        converter=fs.front_end_imperfect(w).converter_pair(),
+    )
     assert abs(fs.detected_intensity(s).relative_error_pct) < 1e-12
 
 
@@ -125,11 +123,11 @@ def test_fringe_null_raises():
 
 
 def test_swept_coil_matches_single_angles():
-    w = fs.ImperfectWaveplate(1.45, 0.02)
+    pair = fs.front_end_imperfect(fs.ImperfectWaveplate(1.45, 0.02)).converter_pair()
     f = np.array([0.0, 0.1, math.pi / 4, 0.6, 1.2])
-    r = fs.detected_intensity(fs.FocsScenario(coil=fs.FaradayCoil(f), waveplate=w))
+    r = fs.detected_intensity(fs.FocsScenario(coil=fs.FaradayCoil(f), converter=pair))
     for k, fk in enumerate(f):
-        s = fs.FocsScenario(coil=fs.FaradayCoil(float(fk)), waveplate=w)
+        s = fs.FocsScenario(coil=fs.FaradayCoil(float(fk)), converter=pair)
         if k == 2:
             with pytest.raises(FringeNullError):
                 fs.detected_intensity(s)
@@ -141,9 +139,12 @@ def test_swept_coil_matches_single_angles():
         )
 
 
-def test_converter_override_used():
+def test_scenario_converter_used():
+    coil = fs.FaradayCoil(rotation_angle_f_rad=0.2)
     pair = (fs.qwp_ideal_in(), fs.qwp_ideal_out())
-    s = fs.FocsScenario(
-        coil=fs.FaradayCoil(rotation_angle_f_rad=0.2), converter_override=pair
-    )
+    s = fs.FocsScenario(coil=coil, converter=pair)
     assert fs.detected_intensity(s).relative_error_pct == 0.0
+    hash(fs.FocsScenario(coil))  # the default scenario stays hashable
+    fwd = fs.mount_at_45deg(fs.qwp_imperfect(fs.ImperfectWaveplate(1.45, 0.02)))
+    s = fs.FocsScenario(coil=coil, converter=(fwd, np.conj(fwd)))
+    assert fs.detected_intensity(s).relative_error_pct != 0.0

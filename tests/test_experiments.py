@@ -1,5 +1,6 @@
 """Campaign layer: sweeps, scans, and drift studies against frozen values."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -53,16 +54,53 @@ def test_front_end_validation():
         fs.FrontEnd(kind="high_order_qwp", medium=med, n_segments=0)
     with pytest.raises(ValueError):
         fs.FrontEnd(kind="polarizer")
-    assert fs.front_end_ideal().converter_override() is None
-    assert fs.front_end_imperfect(plate).converter_override() is None
+    printed = (fs.qwp_ideal_in(), fs.qwp_ideal_out())
+    for fe in (fs.front_end_ideal(), fs.front_end_imperfect(plate)):
+        fwd, ret = fe.converter_pair()
+        assert np.array_equal(fwd, printed[0]) and np.array_equal(ret, printed[1])
 
 
-def test_converter_override_is_the_medium_product():
-    fe = fs.front_end_high_order(fs.default_demo_medium(), 2048)
-    fwd, ret = fe.converter_override()
-    want = total_matrix(fs.default_demo_medium(), grid_for(fs.default_demo_medium(), 2048))
-    assert np.array_equal(fwd, want)
-    assert np.array_equal(ret, want.T)
+def test_converter_pair_of_each_kind():
+    # the printed pair of ideal and a nominal plate is checked above
+    zero_cut = fs.ImperfectWaveplate.from_cut_deviation(0.0)
+    assert not zero_cut.is_nominal()  # rho is pi/2 only to rounding
+    medium = fs.default_demo_medium()
+    spun = fs.default_spun_front_end().medium
+    cases = []
+    for plate in (fs.ImperfectWaveplate(1.45, 0.02), zero_cut):
+        mounted = fs.mount_at_45deg(fs.qwp_imperfect(plate))
+        cases.append((fs.front_end_imperfect(plate), (mounted, np.conj(mounted))))
+    for fe in (fs.front_end_high_order(medium, 2048), fs.front_end_spun(spun, 512)):
+        product = total_matrix(fe.medium, grid_for(fe.medium, fe.n_segments))
+        cases.append((fe, (product, product.T)))
+    for fe, (want_fwd, want_ret) in cases:
+        fwd, ret = fe.converter_pair()
+        assert np.array_equal(fwd, want_fwd), fe.kind
+        assert np.array_equal(ret, want_ret), fe.kind
+
+
+def test_one_medium_product_per_distributed_run(monkeypatch, capsys, tmp_path):
+    from focsim import cli, experiments
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return total_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "total_matrix", counting)
+    spun = fs.default_spun_front_end().medium
+    for fe in (fs.front_end_spun(spun, 512), fs.front_end_high_order(fs.default_demo_medium(), 512)):
+        calls.clear()
+        fs.run_current_sweep(replace(fs.default_sweep_spec(fe), currents_a=(0.0, 500.0, 1000.0)))
+        assert len(calls) == 1, fe.kind
+    for kind in ("spun_fiber", "high_order_qwp"):
+        p = tmp_path / f"{kind}.json"
+        p.write_text(json.dumps({"front_end": {"kind": kind, "n_segments": 512}}))
+        calls.clear()
+        code = cli.main(["simulate", "--config", str(p)])
+        assert code == 0, capsys.readouterr().err
+        assert len(calls) == 1, kind
 
 
 def test_ideal_sweep_has_identically_zero_error():

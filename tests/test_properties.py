@@ -158,9 +158,7 @@ def test_aligned_ellipse_matches_coordinate_axis_ratio(a, t):
 
 def _plate_error_pct(rho: float, beta: float, f_rad: float) -> float:
     fwd = fs.mount_at_45deg(fs.qwp_imperfect(fs.ImperfectWaveplate(rho, beta)))
-    scenario = fs.FocsScenario(
-        coil=fs.FaradayCoil(f_rad), converter_override=(fwd, np.conj(fwd))
-    )
+    scenario = fs.FocsScenario(coil=fs.FaradayCoil(f_rad), converter=(fwd, np.conj(fwd)))
     return fs.detected_intensity(scenario).relative_error_pct
 
 
