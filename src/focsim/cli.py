@@ -19,7 +19,6 @@ from dataclasses import replace
 import numpy as np
 
 from .config import AppConfig, default_config, load_config, parse_config, serialize_config
-from .elements import FocsScenario, detected_intensity
 from .errors import ConfigError, FocsimError, FringeNullError, NumericDomainError
 from .experiments import (
     run_convergence_ladder,
@@ -28,6 +27,7 @@ from .experiments import (
     run_perturbation_study,
     worker_count,
     CurrentSweepSpec,
+    SweepResult,
 )
 from .spun import grid_for, propagate_trajectory
 from .tables import ResultTable, render
@@ -35,29 +35,33 @@ from .tables import ResultTable, render
 _SWEEP_COLUMNS = ("current_a", "faraday_rad", "i_out", "i_ideal", "relative_error_pct")
 
 
-def _simulate(cfg: AppConfig) -> ResultTable:
-    fe = cfg.front_end.build()
-    coil = cfg.coil.build()
-    scenario = FocsScenario(coil, fe.converter_pair())
-    try:
-        r = detected_intensity(scenario)
-    except FringeNullError as exc:
-        raise FringeNullError(
-            f"current_a={cfg.coil.current_a}: {exc}"
-        ) from exc
-    return ResultTable(
+def _current_table(cfg: AppConfig, currents) -> tuple[SweepResult, ResultTable]:
+    """The configured front end and coil swept over currents, one row each."""
+    res = run_current_sweep(
+        CurrentSweepSpec(
+            front_end=cfg.front_end.build(),
+            currents_a=tuple(currents),
+            verdet_rad_per_amp_turn=cfg.coil.verdet_rad_per_amp_turn,
+            turns=cfg.coil.turns,
+        )
+    )
+    columns = (res.currents_a, res.faraday_rad, res.i_out, res.i_ideal, res.err_pct)
+    table = ResultTable(
         columns=_SWEEP_COLUMNS,
-        rows=(
-            (
-                cfg.coil.current_a,
-                coil.rotation_angle_f_rad,
-                r.i_out,
-                r.i_ideal,
-                r.relative_error_pct,
-            ),
-        ),
+        rows=tuple(zip(*(col.tolist() for col in columns))),
         grid_n=cfg.front_end.n_segments or None,
     )
+    return res, table
+
+
+def _simulate(cfg: AppConfig) -> ResultTable:
+    res, table = _current_table(cfg, (cfg.coil.current_a,))
+    if res.n_fringe_null:
+        f = float(res.faraday_rad[0])
+        raise FringeNullError(
+            f"current_a={cfg.coil.current_a}: ideal fringe vanishes at F={f!r} rad"
+        )
+    return table
 
 
 def _trajectory(cfg: AppConfig) -> ResultTable:
@@ -82,28 +86,7 @@ def _trajectory(cfg: AppConfig) -> ResultTable:
 
 def _sweep_current(cfg: AppConfig) -> ResultTable:
     currents = np.linspace(0.0, cfg.current_sweep.max_a, cfg.current_sweep.points)
-    spec = CurrentSweepSpec(
-        front_end=cfg.front_end.build(),
-        currents_a=tuple(currents),
-        verdet_rad_per_amp_turn=cfg.coil.verdet_rad_per_amp_turn,
-        turns=cfg.coil.turns,
-    )
-    res = run_current_sweep(spec)
-    rows = tuple(
-        (
-            float(res.currents_a[i]),
-            float(res.faraday_rad[i]),
-            float(res.i_out[i]),
-            float(res.i_ideal[i]),
-            float(res.err_pct[i]),
-        )
-        for i in range(len(res.currents_a))
-    )
-    return ResultTable(
-        columns=_SWEEP_COLUMNS,
-        rows=rows,
-        grid_n=cfg.front_end.n_segments or None,
-    )
+    return _current_table(cfg, currents)[1]
 
 
 def _sweep_xi(cfg: AppConfig) -> ResultTable:

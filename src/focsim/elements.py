@@ -219,7 +219,8 @@ class FaradayCoil:
 
 @dataclass(frozen=True)
 class IntensityResult:
-    """Floats for a single rotation angle, arrays for a swept coil."""
+    """Floats for a single rotation angle, arrays for a swept coil; behind P
+    stacked converters i_out and relative_error_pct are (P, n), i_ideal (n,)."""
 
     i_out: float | npt.NDArray[np.float64]
     i_ideal: float | npt.NDArray[np.float64]
@@ -262,6 +263,8 @@ def roundtrip_fields(
 
     Only the coil rotation depends on F, so the whole chain is one stacked
     product evaluated in the same left-to-right order as a single pass.
+    A converter pair stacked as (P, 1, 2, 2) gives fields (P, n, 2), each
+    slice equal to that converter's own call.
     """
     if e_in is None:
         e_in = jones_vector(1.0, 0.0)
@@ -299,7 +302,8 @@ def ideal_intensity(f_rad: float) -> float:
 def _intensities(fields: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
     """jones.intensity of every field, with scalar abs: numpy's vectorized
     complex abs may differ from it by an ulp."""
-    return np.array([abs(ex) ** 2 + abs(ey) ** 2 for ex, ey in fields.tolist()])
+    flat = fields.reshape(-1, 2).tolist()
+    return np.array([abs(ex) ** 2 + abs(ey) ** 2 for ex, ey in flat]).reshape(fields.shape[:-1])
 
 
 def detected_intensity(s: FocsScenario, e_in: JonesVector | None = None) -> IntensityResult:
@@ -307,12 +311,17 @@ def detected_intensity(s: FocsScenario, e_in: JonesVector | None = None) -> Inte
 
     A single rotation angle at a fringe null raises FringeNullError. For a
     swept coil every field of the result is an array over the angles, and
-    fringe-null rows hold NaN in i_out and relative_error_pct instead.
+    fringe-null rows hold NaN in i_out and relative_error_pct instead. A
+    converter pair stacked as (P, 1, 2, 2) needs a swept coil and gives
+    (P, n) arrays of those two against one evaluation of the ideal chain.
     """
     f = s.coil.rotation_angle_f_rad
     swept = np.ndim(f) == 1
+    converter = s.converter or _ideal_pair()
+    if not swept and np.ndim(converter[0]) > 2:
+        raise ValueError("a stacked converter pair needs a swept coil")
     angles = f if swept else (f,)
-    i_out = _intensities(roundtrip_fields(s.converter or _ideal_pair(), angles, e_in))
+    i_out = _intensities(roundtrip_fields(converter, angles, e_in))
     i_ideal = _intensities(roundtrip_fields(_ideal_pair(), angles, e_in))
     null = i_ideal < FRINGE_FLOOR
     if not swept:
@@ -322,6 +331,6 @@ def detected_intensity(s: FocsScenario, e_in: JonesVector | None = None) -> Inte
     with np.errstate(divide="ignore", invalid="ignore"):
         err = (i_out - i_ideal) / i_ideal * 100.0
     if swept:
-        i_out[null] = np.nan
-        err[null] = np.nan
+        i_out[..., null] = np.nan
+        err[..., null] = np.nan
     return IntensityResult(i_out=i_out, i_ideal=i_ideal, relative_error_pct=err)

@@ -3,7 +3,8 @@
 Each runner is a pure function from a frozen parameter record to an
 immutable result, evaluated serially in a fixed order. A current sweep is
 one detected_intensity call on a coil swept over all its currents, one
-stacked chain product (elements.roundtrip_fields).
+stacked chain product (elements.roundtrip_fields); an imperfection scan also
+stacks its plates' converter pairs, one call over plates x currents.
 FOCSIM_THREADS is still read and validated (worker_count) but no longer
 changes execution: a thread pool over these small-array, GIL-bound rows
 measured slower than the serial loop, so there is none.
@@ -32,7 +33,7 @@ from .elements import (
 from .errors import NumericDomainError
 from .jones import JonesMatrix
 from .spun import (
-    EllipticityTrajectory,
+    SpinProfile,
     SpunMediumSpec,
     StabilityMetrics,
     conversion_length,
@@ -182,12 +183,19 @@ class SweepResult:
     n_fringe_null: int
 
 
-def run_current_sweep(spec: CurrentSweepSpec) -> SweepResult:
-    currents = np.asarray(spec.currents_a, dtype=np.float64)
+def _swept_coil(verdet_rad_per_amp_turn: float, turns: int, currents) -> FaradayCoil:
+    """The coil swept over a current grid, F = V N I at every current."""
     # an overflowed V*N times a 0 A current is nan; FaradayCoil reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        f = spec.verdet_rad_per_amp_turn * spec.turns * currents
-    r = detected_intensity(FocsScenario(FaradayCoil(f), spec.front_end.converter_pair()))
+        f = verdet_rad_per_amp_turn * turns * np.asarray(currents, dtype=np.float64)
+    return FaradayCoil(f)
+
+
+def run_current_sweep(spec: CurrentSweepSpec) -> SweepResult:
+    currents = np.asarray(spec.currents_a, dtype=np.float64)
+    coil = _swept_coil(spec.verdet_rad_per_amp_turn, spec.turns, currents)
+    f = coil.rotation_angle_f_rad
+    r = detected_intensity(FocsScenario(coil, spec.front_end.converter_pair()))
     err = r.relative_error_pct
     ok = ~np.isnan(err)
     i_ideal = r.i_ideal
@@ -222,22 +230,27 @@ def run_imperfection_scan(
     splice_angles_rad: tuple[float, ...],
     currents_a: tuple[float, ...] | None = None,
 ) -> ImperfectionScanResult:
-    """Worst-case sweep error over a grid of plate build tolerances."""
+    """Worst-case sweep error over a grid of plate build tolerances.
+
+    Every plate's converter pair is stacked, so the scan is one
+    detected_intensity call over plates x currents; each cell is the max
+    over the non-null currents, as run_current_sweep's max_abs_err_pct.
+    """
     if currents_a is None:
-        currents_a = tuple(default_current_grid())
+        currents_a = default_current_grid()
     combos = [(d, b) for d in cut_deviations_m for b in splice_angles_rad]
-
-    def one(combo):
-        d, b = combo
-        plate = ImperfectWaveplate.from_cut_deviation(
-            cut_deviation_m=d, splice_angle_rad=b
-        )
-        spec = replace(
-            default_sweep_spec(front_end_imperfect(plate)), currents_a=currents_a
-        )
-        return ImperfectionCell(d, b, run_current_sweep(spec).max_abs_err_pct)
-
-    cells = tuple(one(c) for c in combos)
+    pairs = [
+        front_end_imperfect(ImperfectWaveplate.from_cut_deviation(d, b)).converter_pair()
+        for d, b in combos
+    ]
+    fwd, ret = (np.stack(m)[:, np.newaxis] for m in zip(*pairs))
+    coil = _swept_coil(
+        float(constant("verdet_rad_per_amp_turn")), int(constant("coil_turns")), currents_a
+    )
+    err = detected_intensity(FocsScenario(coil, (fwd, ret))).relative_error_pct
+    ok = ~np.isnan(err).any(axis=0)  # fringe-null columns are NaN for every plate
+    worst = np.max(np.abs(err[:, ok]), axis=1) if ok.any() else np.full(len(combos), np.nan)
+    cells = tuple(ImperfectionCell(d, b, e) for (d, b), e in zip(combos, worst.tolist()))
     return ImperfectionScanResult(
         cells=cells,
         worst_err_pct=max(c.max_abs_err_pct for c in cells),
@@ -271,8 +284,8 @@ def run_xi_sweep(
     """Adiabaticity scan: one trajectory per spin-rate-to-birefringence ratio."""
 
     def one(ratio: float):
-        profile = _with_xi_max(
-            base_medium.profile, ratio * base_medium.delta_rad_per_m
+        profile = replace(
+            base_medium.profile, xi_max_rad_per_m=ratio * base_medium.delta_rad_per_m
         )
         medium = SpunMediumSpec(
             base_medium.total_length_m, base_medium.delta_rad_per_m, profile
@@ -293,10 +306,6 @@ def run_xi_sweep(
         profile_kind=base_medium.profile.kind,
         rows=tuple(one(r) for r in ratios),
     )
-
-
-def _with_xi_max(profile, xi_max: float):
-    return replace(profile, xi_max_rad_per_m=xi_max)
 
 
 @dataclass(frozen=True)
@@ -331,7 +340,6 @@ def delta_at_temperature(delta0: float, temperature_c: float) -> float:
 def run_perturbation_study(
     medium: SpunMediumSpec,
     n_segments: int,
-    wavelength0_m: float | None = None,
     wavelength_drift_m: float | None = None,
     temperature_excursion_c: float | None = None,
 ) -> PerturbationResult:
@@ -342,7 +350,7 @@ def run_perturbation_study(
     worse of its two extremes, so an increase on one side is not masked by
     a decrease on the other.
     """
-    lam0 = wavelength0_m if wavelength0_m is not None else float(constant("wavelength_m"))
+    lam0 = float(constant("wavelength_m"))
     dlam = (
         wavelength_drift_m
         if wavelength_drift_m is not None
@@ -422,8 +430,6 @@ def run_convergence_ladder(
 
 def default_demo_medium() -> SpunMediumSpec:
     """The lab-bench medium used by default across campaigns."""
-    from .spun import SpinProfile
-
     delta = 2.0 * math.pi / float(constant("medium_beat_length_m"))
     profile = SpinProfile(
         kind=str(constant("medium_profile")),
@@ -439,8 +445,6 @@ def default_demo_medium() -> SpunMediumSpec:
 
 
 def default_high_order_front_end() -> FrontEnd:
-    from .spun import SpinProfile
-
     delta = device_delta()
     profile = SpinProfile(
         kind="cosine",
@@ -457,8 +461,6 @@ def default_high_order_front_end() -> FrontEnd:
 
 
 def default_spun_front_end() -> FrontEnd:
-    from .spun import SpinProfile
-
     delta = device_delta()
     profile = SpinProfile(
         kind="constant",

@@ -185,6 +185,27 @@ def run_main(capsys, *args):
     return code, captured.out, captured.err
 
 
+def test_simulate_row_is_the_sweep_row_at_its_current(tmp_path, capsys):
+    front_ends = (
+        {"kind": "ideal"},
+        {"kind": "imperfect_qwp"},
+        {"kind": "imperfect_qwp", "cut_deviation_m": 2e-7, "splice_angle_rad": 0.03},
+        {"kind": "spun_fiber", "n_segments": 512},
+        {"kind": "high_order_qwp", "n_segments": 512},
+    )
+    for front_end in front_ends:
+        p = tmp_path / "front_end.json"
+        p.write_text(json.dumps({"front_end": front_end}))
+        code, out, err = run_main(
+            capsys, "sweep-current", "--config", str(p), "--max-a", "2000", "--points", "5"
+        )
+        header, rows = out.splitlines()[:2], out.splitlines()[2:]
+        assert (code, len(rows)) == (0, 5), err
+        for current, row in zip(("0", "500", "1000", "1500", "2000"), rows):
+            code, out, err = run_main(capsys, "simulate", "--config", str(p), "--current-a", current)
+            assert (code, out.splitlines()) == (0, header + [row]), (front_end, current, err)
+
+
 def test_bad_config_exits_2_with_the_key_path(tmp_path, capsys, monkeypatch):
     p = tmp_path / "bad.json"
     p.write_text('{"medium": {"profile": {"bogus": 1}}}')

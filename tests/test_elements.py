@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import focsim as fs
+from focsim.elements import roundtrip_fields
 from focsim.errors import FringeNullError, RetardationSingularityError
 
 import _frozen
@@ -134,9 +135,26 @@ def test_swept_coil_matches_single_angles():
             assert math.isnan(r.i_out[k]) and math.isnan(r.relative_error_pct[k])
             continue
         one = fs.detected_intensity(s)
+        assert isinstance(one.i_out, float) and isinstance(one.relative_error_pct, float)
         assert (r.i_out[k], r.i_ideal[k], r.relative_error_pct[k]) == (
             one.i_out, one.i_ideal, one.relative_error_pct
         )
+    # P stacked converters: each (P, n) row is that converter's own swept call
+    plates = [fs.ImperfectWaveplate(1.45, 0.02), fs.ImperfectWaveplate.nominal(),
+              fs.ImperfectWaveplate(2.0, -0.3)]
+    pairs = [fs.front_end_imperfect(w).converter_pair() for w in plates]
+    stacked = tuple(np.stack(m)[:, np.newaxis] for m in zip(*pairs))
+    rs = fs.detected_intensity(fs.FocsScenario(coil=fs.FaradayCoil(f), converter=stacked))
+    assert rs.i_out.shape == rs.relative_error_pct.shape == (3, len(f))
+    for p, pair in enumerate(pairs):
+        one = fs.detected_intensity(fs.FocsScenario(coil=fs.FaradayCoil(f), converter=pair))
+        assert np.array_equal(rs.i_out[p], one.i_out, equal_nan=True)
+        assert np.array_equal(rs.i_ideal, one.i_ideal)
+        assert np.array_equal(rs.relative_error_pct[p], one.relative_error_pct, equal_nan=True)
+        assert np.array_equal(roundtrip_fields(stacked, f)[p], roundtrip_fields(pair, f))
+    # a single angle has no stacked form: it must not come back as plate 0's float
+    with pytest.raises(ValueError, match="swept coil"):
+        fs.detected_intensity(fs.FocsScenario(coil=fs.FaradayCoil(0.1), converter=stacked))
 
 
 def test_scenario_converter_used():

@@ -243,6 +243,50 @@ def test_imperfection_scan_reproduces_frozen_worst_case():
     assert all(c.max_abs_err_pct > 0.2 for c in scan.cells)
 
 
+def test_imperfection_scan_matches_per_plate_sweeps(monkeypatch):
+    from focsim import experiments
+
+    cut = float(constant("plate_cut_deviation_m"))
+    splice = float(constant("plate_splice_deviation_rad"))
+    null_a = (math.pi / 4) / (constant("verdet_rad_per_amp_turn") * constant("coil_turns"))
+    cases = [
+        ((-cut, 0.0, cut), (-splice, 0.0, splice), (0.0, 250.0, null_a, 1000.0, 2000.0)),
+        ((-cut, 0.0), (0.0, splice), (null_a,)),  # nulls only: every cell is NaN
+    ]
+    calls = []
+    original = experiments.detected_intensity
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for deviations, angles, currents in cases:
+        want = [
+            fs.run_current_sweep(
+                replace(
+                    fs.default_sweep_spec(
+                        fs.front_end_imperfect(fs.ImperfectWaveplate.from_cut_deviation(d, b))
+                    ),
+                    currents_a=currents,
+                )
+            ).max_abs_err_pct
+            for d in deviations
+            for b in angles
+        ]
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "detected_intensity", counting)
+            calls.clear()
+            scan = fs.run_imperfection_scan(deviations, angles, currents)
+        assert len(calls) == 1  # one stacked product over plates x currents
+        assert [(c.cut_deviation_m, c.splice_angle_rad) for c in scan.cells] == [
+            (d, b) for d in deviations for b in angles
+        ]
+        got = [c.max_abs_err_pct for c in scan.cells]
+        assert all(g == w or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want))
+        assert all(isinstance(g, float) for g in got)
+    assert all(math.isnan(g) for g in got)
+
+
 def test_xi_sweep_matches_frozen_cells(xi_table):
     rows, _ = xi_table
     for kind in ("linear", "cosine"):
