@@ -25,7 +25,6 @@ from .experiments import (
     run_current_sweep,
     run_xi_sweep,
     run_perturbation_study,
-    worker_count,
     CurrentSweepSpec,
     SweepResult,
 )
@@ -276,10 +275,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        try:
-            worker_count()
-        except ValueError as exc:
-            raise ConfigError("must be a positive integer", "FOCSIM_THREADS") from exc
         cfg = load_config(args.config) if args.config else default_config()
         cfg = parse_config(_flag_document(args), base=cfg)
         if args.command == "print-config":

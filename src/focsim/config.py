@@ -40,7 +40,7 @@ from .experiments import (
     front_end_imperfect,
     front_end_spun,
 )
-from .elements import FaradayCoil, ImperfectWaveplate
+from .elements import ImperfectWaveplate
 from .spun import SpinProfile, SpunMediumSpec
 
 _PROFILE_KINDS = ("linear", "cosine", "constant")
@@ -219,13 +219,6 @@ class CoilConfig:
     verdet_rad_per_amp_turn: float = _key(_number)
     turns: int = _key(_integer(1))
     current_a: float = _key(_number)
-
-    def build(self) -> FaradayCoil:
-        return FaradayCoil.from_current(
-            verdet_rad_per_amp_turn=self.verdet_rad_per_amp_turn,
-            turns=self.turns,
-            current_a=self.current_a,
-        )
 
 
 @dataclass(frozen=True)

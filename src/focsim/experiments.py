@@ -5,15 +5,11 @@ immutable result, evaluated serially in a fixed order. A current sweep is
 one detected_intensity call on a coil swept over all its currents, one
 stacked chain product (elements.roundtrip_fields); an imperfection scan also
 stacks its plates' converter pairs, one call over plates x currents.
-FOCSIM_THREADS is still read and validated (worker_count) but no longer
-changes execution: a thread pool over these small-array, GIL-bound rows
-measured slower than the serial loop, so there is none.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,14 +39,7 @@ from .spun import (
     total_matrix,
 )
 
-def worker_count() -> int:
-    raw = os.environ.get("FOCSIM_THREADS", "").strip()
-    if not raw:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("FOCSIM_THREADS must be a positive integer")
-    return n
+RIPPLE_FLAG_PP = 0.01  # settled ripple above this flags an xi-sweep row
 
 
 @dataclass(frozen=True)
@@ -122,14 +111,6 @@ def front_end_spun(medium: SpunMediumSpec, n_segments: int) -> FrontEnd:
 
 def front_end_high_order(medium: SpunMediumSpec, n_segments: int) -> FrontEnd:
     return FrontEnd(kind="high_order_qwp", medium=medium, n_segments=n_segments)
-
-
-def default_coil() -> FaradayCoil:
-    return FaradayCoil.from_current(
-        verdet_rad_per_amp_turn=float(constant("verdet_rad_per_amp_turn")),
-        turns=int(constant("coil_turns")),
-        current_a=0.0,
-    )
 
 
 def default_current_grid() -> npt.NDArray[np.float64]:
@@ -278,8 +259,6 @@ def run_xi_sweep(
     base_medium: SpunMediumSpec,
     ratios: tuple[float, ...],
     n_segments: int,
-    flag_above_pp: float = 0.01,
-    threshold: float = 0.95,
 ) -> XiSweepResult:
     """Adiabaticity scan: one trajectory per spin-rate-to-birefringence ratio."""
 
@@ -298,8 +277,8 @@ def run_xi_sweep(
             rms_eps_settled=settled.rms_eps,
             mean_eps_settled=settled.mean_eps,
             delta_eps_pp_full=traj.delta_eps_pp,
-            conversion_length_m=conversion_length(traj, threshold),
-            ripple_flagged=settled.delta_eps_pp > flag_above_pp,
+            conversion_length_m=conversion_length(traj),
+            ripple_flagged=settled.delta_eps_pp > RIPPLE_FLAG_PP,
         )
 
     return XiSweepResult(

@@ -18,8 +18,7 @@ scans carry only the Jones state: each segment is the SU(2) pair
 and a blocked scan over fixed-size blocks computes each block's total,
 carries the state across the block totals in order, then propagates it
 through every block at once. Chunk and block sizes are constants, so
-results are bit-reproducible regardless of worker count or platform thread
-settings.
+results are bit-reproducible regardless of platform thread settings.
 """
 
 from __future__ import annotations
@@ -264,9 +263,13 @@ def _ordered_product(m: npt.NDArray[np.complex128]) -> JonesMatrix:
     return m[0]
 
 
-def _check_grid(spec: SpunMediumSpec, grid: PropagationGrid) -> None:
+def _chunks(spec: SpunMediumSpec, grid: PropagationGrid) -> list[tuple[int, int]]:
+    """In order, the [lo, hi) ranges of at most _CHUNK segments that cover
+    the grid, which must span the medium."""
     if abs(grid.total_length_m - spec.total_length_m) > 1e-12 * spec.total_length_m:
         raise ValueError("grid does not cover the medium length")
+    n = grid.n_segments
+    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
 
 def total_matrix(
@@ -275,14 +278,10 @@ def total_matrix(
     angle_rule: Literal["left", "midpoint"] = "left",
 ) -> JonesMatrix:
     """Ordered product of all segment matrices over the grid."""
-    _check_grid(spec, grid)
     n = grid.n_segments
     out = np.eye(2, dtype=np.complex128)
-    done = 0
-    while done < n:
-        take = min(_CHUNK, n - done)
-        out = _ordered_product(_segment_block(spec, n, done, done + take, angle_rule)) @ out
-        done += take
+    for lo, hi in _chunks(spec, grid):
+        out = _ordered_product(_segment_block(spec, n, lo, hi, angle_rule)) @ out
     return out
 
 
@@ -371,7 +370,6 @@ def propagate_trajectory(
     order but groups the products differently, so its final state agrees
     with apply(total_matrix(spec, grid), e_in) to rounding, not bit for bit.
     """
-    _check_grid(spec, grid)
     if e_in is None:
         e_in = jones_vector(1.0, 0.0)
     n = grid.n_segments
@@ -379,12 +377,11 @@ def propagate_trajectory(
     eps = np.empty(n + 1, dtype=np.float64)
     eps[0] = _eps_from_states(e[:1], e[1:], metric_kind)[0]
     x, y = complex(e[0]), complex(e[1])
-    done = 0
-    while done < n:
-        take = min(_CHUNK, n - done)
+    for lo, hi in _chunks(spec, grid):
+        take = hi - lo
         width = min(_BLOCK, take)
         blocks = -(-take // width)
-        alpha, beta = _segment_pairs(spec, n, done, done + take, angle_rule)
+        alpha, beta = _segment_pairs(spec, n, lo, hi, angle_rule)
         alpha = _by_block(alpha, width, blocks, 1.0)
         beta = _by_block(beta, width, blocks, 0.0)
         # each block total is [[p, -conj(q)], [q, conj(p)]] with (p, q) the
@@ -400,10 +397,9 @@ def propagate_trajectory(
         ex = np.empty((width, blocks), dtype=np.complex128)
         ey = np.empty_like(ex)
         _sweep(alpha, beta, np.array(xs), np.array(ys), ex, ey)
-        eps[done + 1 : done + take + 1] = _eps_from_states(ex, ey, metric_kind).T.ravel()[:take]
+        eps[lo + 1 : hi + 1] = _eps_from_states(ex, ey, metric_kind).T.ravel()[:take]
         blk, j = divmod(take - 1, width)
         x, y = complex(ex[j, blk]), complex(ey[j, blk])
-        done += take
     return EllipticityTrajectory(
         z_m=grid.z_samples(),
         epsilon=eps,

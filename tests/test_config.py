@@ -38,8 +38,10 @@ def test_empty_object_yields_the_default_config():
     assert cfg.xi_sweep.ratios == (1.0, 3.0, 5.0, 10.0)
     assert cfg.xi_sweep.profiles == ("linear", "cosine")
     assert cfg.convergence.reference_n == 1 << 20
-    coil = cfg.coil.build()
-    assert coil.rotation_angle_f_rad == pytest.approx(0.355, rel=1e-12)
+    coil = cfg.coil
+    assert coil.verdet_rad_per_amp_turn * coil.turns * coil.current_a == pytest.approx(
+        0.355, rel=1e-12
+    )
 
 
 def test_unknown_keys_fail_with_the_offending_path():

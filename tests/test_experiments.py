@@ -13,26 +13,10 @@ from focsim.experiments import (
     delta_at_temperature,
     delta_at_wavelength,
     device_delta,
-    worker_count,
 )
 from focsim.spun import grid_for, total_matrix
 
 import _frozen
-
-
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("FOCSIM_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("FOCSIM_THREADS", "")
-    assert worker_count() == 1
-    monkeypatch.setenv("FOCSIM_THREADS", " 4 ")
-    assert worker_count() == 4
-    monkeypatch.setenv("FOCSIM_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("FOCSIM_THREADS", "two")
-    with pytest.raises(ValueError):
-        worker_count()
 
 
 def test_front_end_validation():

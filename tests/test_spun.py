@@ -325,6 +325,13 @@ def test_trajectory_states_match_segment_by_segment_product(n, chunk, monkeypatc
     np.testing.assert_allclose(traj.epsilon, want, rtol=0.0, atol=1e-12)
 
 
+def test_grid_must_span_the_medium():
+    grid = fs.PropagationGrid(100, 2.0 * DEMO.total_length_m)
+    for run in (fs.total_matrix, propagate_trajectory):
+        with pytest.raises(ValueError, match="does not cover"):
+            run(DEMO, grid)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         fs.EllipticityTrajectory(
