@@ -52,6 +52,13 @@ def test_sweep_current_matches_golden_bytes():
     assert proc.stdout == GOLDEN.joinpath("default_sweep.json").read_text()
 
 
+def test_trajectory_matches_golden_bytes():
+    proc = run_cli("trajectory")
+    assert proc.stdout == GOLDEN.joinpath("default_trajectory.csv").read_text()
+    proc = run_cli("trajectory", "--format", "json")
+    assert proc.stdout == GOLDEN.joinpath("default_trajectory.json").read_text()
+
+
 def test_print_config_matches_golden_bytes():
     proc = run_cli("print-config")
     assert proc.stdout == GOLDEN.joinpath("default_config.json").read_text()

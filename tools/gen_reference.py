@@ -18,6 +18,8 @@ def main() -> int:
         "default_sweep.csv": ["sweep-current", "--format", "csv"],
         "default_sweep.json": ["sweep-current", "--format", "json"],
         "default_simulate.csv": ["simulate", "--format", "csv"],
+        "default_trajectory.csv": ["trajectory", "--format", "csv"],
+        "default_trajectory.json": ["trajectory", "--format", "json"],
         "default_config.json": ["print-config"],
     }
     for name, args in jobs.items():
