@@ -44,10 +44,9 @@ def _current_table(cfg: AppConfig, currents) -> tuple[SweepResult, ResultTable]:
             turns=cfg.coil.turns,
         )
     )
-    columns = (res.currents_a, res.faraday_rad, res.i_out, res.i_ideal, res.err_pct)
     table = ResultTable(
         columns=_SWEEP_COLUMNS,
-        rows=tuple(zip(*(col.tolist() for col in columns))),
+        cells=(res.currents_a, res.faraday_rad, res.i_out, res.i_ideal, res.err_pct),
         grid_n=cfg.front_end.n_segments or None,
     )
     return res, table
@@ -74,10 +73,9 @@ def _trajectory(cfg: AppConfig) -> ResultTable:
     idx = np.arange(0, n + 1, cfg.trajectory.stride)
     if idx[-1] != n:
         idx = np.append(idx, n)
-    rows = tuple(zip(traj.z_m[idx].tolist(), traj.epsilon[idx].tolist()))
     return ResultTable(
         columns=("z_m", "epsilon"),
-        rows=rows,
+        cells=(traj.z_m[idx], traj.epsilon[idx]),
         grid_n=n,
         extra_metadata=(("metric", cfg.trajectory.metric_kind),),
     )
@@ -106,7 +104,7 @@ def _sweep_xi(cfg: AppConfig) -> ResultTable:
                     r.ripple_flagged,
                 )
             )
-    return ResultTable(
+    return ResultTable.from_rows(
         columns=(
             "profile",
             "xi_over_delta",
@@ -141,7 +139,7 @@ def _perturb(cfg: AppConfig) -> ResultTable:
         )
         for ax in (res.wavelength, res.temperature)
     )
-    return ResultTable(
+    return ResultTable.from_rows(
         columns=(
             "axis",
             "low_value",
@@ -167,7 +165,7 @@ def _converge(cfg: AppConfig) -> ResultTable:
         (row.n_segments, row.max_abs_dev, ratios[i])
         for i, row in enumerate(res.rows)
     )
-    return ResultTable(
+    return ResultTable.from_rows(
         columns=("n_segments", "max_abs_dev", "ratio"),
         rows=rows,
         grid_n=cfg.convergence.reference_n,

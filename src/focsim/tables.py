@@ -1,36 +1,95 @@
 """Tabular results and their CSV/JSON renderings.
 
+A table holds one entry per column: a 1-D float64 array, or a tuple of
+cells. Both renderers read the columns directly and fill one %-template
+with every cell in row order:
+
+* CSV: when every column is a float64 array, each cell is "%.17g" of the
+  float (17 significant digits round-trip an IEEE double exactly);
+  otherwise every cell's text is ``_csv_cell``.
+* JSON: the exact ``json.dumps(obj, indent=1)`` layout, each cell's text
+  being ``_json_text``: ``repr`` of a finite float, else ``json.dumps`` of
+  ``_json_cell`` (NaN becomes null; +-inf stays Infinity/-Infinity).
+
+``_csv_cell`` and ``_json_text`` are the definitions of a cell's text.
 Both formats are byte-deterministic for identical table values: no wall
-clock, no environment, no dict-ordering hazards. Floats render with 17
-significant digits in CSV, which round-trips IEEE doubles exactly.
+clock, no environment, no dict-ordering hazards.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
+
+import numpy as np
 
 from .constants import SCHEMA_VERSION, constants_fingerprint
 
 Cell = float | int | str | bool | None
+Column = np.ndarray | tuple[Cell, ...]
 
 
-@dataclass(frozen=True)
+def _cells(col: Column) -> list[Cell] | tuple[Cell, ...]:
+    return col.tolist() if isinstance(col, np.ndarray) else col
+
+
+@dataclass(frozen=True, eq=False)
 class ResultTable:
+    """Named columns of equal length; ``cells[j]`` holds column ``columns[j]``."""
+
     columns: tuple[str, ...]
-    rows: tuple[tuple[Cell, ...], ...]
+    cells: tuple[Column, ...]
     grid_n: int | None = None
-    extra_metadata: tuple[tuple[str, str], ...] = field(default=())
+    extra_metadata: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if not self.columns:
             raise ValueError("table needs at least one column")
-        width = len(self.columns)
-        if set(map(len, self.rows)) - {width}:
-            i, row = next((i, r) for i, r in enumerate(self.rows) if len(r) != width)
+        if len(self.cells) != len(self.columns):
+            raise ValueError(f"{len(self.cells)} columns of cells for {len(self.columns)} names")
+        for name, col in zip(self.columns, self.cells):
+            if isinstance(col, np.ndarray):
+                ok = col.ndim == 1 and col.dtype == np.float64
+            else:
+                ok = isinstance(col, tuple)
+            if not ok:
+                raise ValueError(f"column {name!r} is not a 1-D float64 array or a tuple of cells")
+        if len(set(map(len, self.cells))) > 1:
+            raise ValueError(f"column lengths differ: {[len(c) for c in self.cells]}")
+
+    @classmethod
+    def from_rows(
+        cls,
+        columns: tuple[str, ...],
+        rows: tuple[tuple[Cell, ...], ...],
+        grid_n: int | None = None,
+        extra_metadata: tuple[tuple[str, str], ...] = (),
+    ) -> ResultTable:
+        """A table of tuple columns, from rows of ``len(columns)`` cells."""
+        width = len(columns)
+        if set(map(len, rows)) - {width}:
+            i, row = next((i, r) for i, r in enumerate(rows) if len(r) != width)
             raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+        cells = tuple(zip(*rows)) if rows else ((),) * width
+        return cls(tuple(columns), cells, grid_n, extra_metadata)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.cells[0])
+
+    @property
+    def rows(self) -> tuple[tuple[Cell, ...], ...]:
+        """The cells row by row, array cells as Python floats."""
+        return tuple(zip(*map(_cells, self.cells)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ResultTable):
+            return NotImplemented
+        return (self.columns, self.grid_n, self.extra_metadata, self.rows) == (
+            other.columns, other.grid_n, other.extra_metadata, other.rows
+        )
 
     def metadata(self) -> dict[str, object]:
         md: dict[str, object] = {
@@ -44,6 +103,24 @@ class ResultTable:
         return md
 
 
+def _fill(head: str, row: str, sep: str, tail: str, n: int, values) -> str:
+    """``head``, ``n`` copies of the ``row`` template joined by ``sep``, and
+    ``tail``, filled with ``values``: every cell in row order.
+
+    One %-operation keeps the per-cell work in C; the head goes into the
+    template (its "%" escaped) so a large table is not copied once more to
+    prepend it.
+    """
+    body = (row + sep) * (n - 1) + row if n else ""
+    return (head.replace("%", "%%") + body + tail) % tuple(values)
+
+
+def _csv_text(v: str, what: str) -> str:
+    if any(ch in v for ch in ",\n\r"):
+        raise ValueError(f"{what} {v!r} would corrupt the CSV layout")
+    return v
+
+
 def _csv_cell(v: Cell) -> str:
     if v is None:
         return ""
@@ -53,9 +130,7 @@ def _csv_cell(v: Cell) -> str:
         return str(v)
     if isinstance(v, float):
         return format(v, ".17g")
-    if any(ch in v for ch in ",\n\r"):
-        raise ValueError(f"cell {v!r} would corrupt the CSV layout")
-    return v
+    return _csv_text(v, "cell")
 
 
 def to_csv(table: ResultTable) -> str:
@@ -64,16 +139,16 @@ def to_csv(table: ResultTable) -> str:
     if "grid_n" in md:
         head += f", grid_n={md['grid_n']}"
     for k, v in table.extra_metadata:
-        head += f", {k}={v}"
-    head += "\n" + ",".join(table.columns) + "\n"
-    if set(map(type, chain.from_iterable(table.rows))) == {float}:
-        # "%.17g" % v is format(v, ".17g"). One template over every cell keeps
-        # the per-cell work in C; the head goes into the template (its "%"
-        # escaped) so a large table is not copied once more to prepend it.
-        row = ",".join(["%.17g"] * len(table.columns)) + "\n"
-        template = head.replace("%", "%%") + row * len(table.rows)
-        return template % tuple(chain.from_iterable(table.rows))
-    return head + "".join(",".join(map(_csv_cell, row)) + "\n" for row in table.rows)
+        head += f", {_csv_text(k, 'metadata key')}={_csv_text(v, 'metadata value')}"
+    head += "\n" + ",".join(_csv_text(c, "column name") for c in table.columns) + "\n"
+    if all(isinstance(col, np.ndarray) for col in table.cells):
+        # "%.17g" % v is format(v, ".17g"), _csv_cell's text of a float
+        cell, values = "%.17g", np.column_stack(table.cells).ravel().tolist()
+    else:
+        texts = [list(map(_csv_cell, _cells(col))) for col in table.cells]
+        cell, values = "%s", chain.from_iterable(zip(*texts))
+    row = ",".join([cell] * len(table.columns)) + "\n"
+    return _fill(head, row, "", "", table.n_rows, values)
 
 
 def _json_cell(v: Cell) -> Cell:
@@ -83,13 +158,22 @@ def _json_cell(v: Cell) -> Cell:
     return v
 
 
+def _json_text(v: Cell) -> str:
+    """The text json.dumps writes for _json_cell(v)."""
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    return json.dumps(_json_cell(v))
+
+
 def to_json(table: ResultTable) -> str:
-    obj = {
-        "metadata": table.metadata(),
-        "columns": list(table.columns),
-        "rows": [[_json_cell(v) for v in row] for row in table.rows],
-    }
-    return json.dumps(obj, indent=1) + "\n"
+    obj = {"metadata": table.metadata(), "columns": list(table.columns), "rows": []}
+    head = json.dumps(obj, indent=1).removesuffix("[]\n}")
+    if not table.n_rows:
+        return head + "[]\n}\n"
+    row = "  [\n   " + ",\n   ".join(["%s"] * len(table.columns)) + "\n  ]"
+    texts = [list(map(_json_text, _cells(col))) for col in table.cells]
+    values = chain.from_iterable(zip(*texts))
+    return _fill(head + "[\n", row, ",\n", "\n ]\n}\n", table.n_rows, values)
 
 
 def from_json(text: str) -> ResultTable:
@@ -97,9 +181,9 @@ def from_json(text: str) -> ResultTable:
     md = obj["metadata"]
     known = {"schema_version", "constants_fingerprint", "grid_n"}
     extra = tuple((k, str(v)) for k, v in md.items() if k not in known)
-    return ResultTable(
+    return ResultTable.from_rows(
         columns=tuple(obj["columns"]),
-        rows=tuple(tuple(v for v in row) for row in obj["rows"]),
+        rows=tuple(map(tuple, obj["rows"])),
         grid_n=md.get("grid_n"),
         extra_metadata=extra,
     )

@@ -227,7 +227,7 @@ def test_criterion_10_determinism_and_round_trip(criterion_log):
     fixed_point = cfg2 == cfg and serialize_config(cfg2) == text
 
     values = (math.pi, -2.5e-17, 1.0 / 3.0, -0.0, 6.02e23)
-    table = fs.ResultTable(columns=("v",), rows=tuple((x,) for x in values))
+    table = fs.ResultTable.from_rows(columns=("v",), rows=tuple((x,) for x in values))
     csv_cells = [line.split(",")[0] for line in fs.to_csv(table).splitlines()[2:]]
     csv_exact = all(float(c) == x for c, x in zip(csv_cells, values))
     json_exact = fs.from_json(fs.to_json(table)) == table

@@ -100,7 +100,7 @@ def test_sweep_xi_bytes_match_the_library_call():
         for r in res.rows
     )
     want = render(
-        ResultTable(
+        ResultTable.from_rows(
             columns=(
                 "profile",
                 "xi_over_delta",
@@ -138,21 +138,35 @@ def test_trajectory_rows_match_the_library_scan(capsys, monkeypatch):
     monkeypatch.delenv("FOCSIM_THREADS", raising=False)
     medium = default_config().medium.build()
     n = 3001
-    traj = fs.propagate_trajectory(medium, fs.grid_for(medium, n))
-    for stride in (1, 7):  # 7 does not divide 3001: the endpoint is appended
-        idx = list(range(0, n + 1, stride))
-        if idx[-1] != n:
-            idx.append(n)
-        want = [
-            f"# schema=1, constants={constants_fingerprint()}, grid_n={n}, metric=principal",
-            "z_m,epsilon",
-        ]
-        want += [
-            format(float(traj.z_m[i]), ".17g") + "," + format(float(traj.epsilon[i]), ".17g")
-            for i in idx
-        ]
-        code, out, err = run_main(capsys, "trajectory", "--segments", str(n), "--stride", str(stride))
-        assert (code, out) == (0, "\n".join(want) + "\n"), (stride, err)
+    for metric in ("principal", "axis_ratio"):
+        traj = fs.propagate_trajectory(medium, fs.grid_for(medium, n), metric_kind=metric)
+        for stride in (1, 7):  # 7 does not divide 3001: the endpoint is appended
+            idx = list(range(0, n + 1, stride))
+            if idx[-1] != n:
+                idx.append(n)
+            argv = ("trajectory", "--segments", str(n), "--stride", str(stride), "--metric", metric)
+            want = [
+                f"# schema=1, constants={constants_fingerprint()}, grid_n={n}, metric={metric}",
+                "z_m,epsilon",
+            ]
+            want += [
+                format(float(traj.z_m[i]), ".17g") + "," + format(float(traj.epsilon[i]), ".17g")
+                for i in idx
+            ]
+            code, out, err = run_main(capsys, *argv)
+            assert (code, out) == (0, "\n".join(want) + "\n"), (metric, stride, err)
+            obj = {
+                "metadata": {
+                    "schema_version": "1",
+                    "constants_fingerprint": constants_fingerprint(),
+                    "grid_n": n,
+                    "metric": metric,
+                },
+                "columns": ["z_m", "epsilon"],
+                "rows": [[float(traj.z_m[i]), float(traj.epsilon[i])] for i in idx],
+            }
+            code, out, err = run_main(capsys, *argv, "--format", "json")
+            assert (code, out) == (0, json.dumps(obj, indent=1) + "\n"), (metric, stride, err)
 
 
 def test_overflowing_finite_configs_exit_3(tmp_path):

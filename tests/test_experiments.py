@@ -381,20 +381,17 @@ def test_default_front_end_geometry():
     assert sp.n_segments == ho.n_segments == int(constant("front_end_segments"))
 
 
-def test_thread_pool_results_match_serial(monkeypatch):
+def test_repeated_sweeps_are_identical():
     med = fs.default_demo_medium()
     currents = tuple(np.linspace(0.0, 2000.0, 21))
     sweep = replace(fs.default_sweep_spec(), currents_a=currents)
 
-    monkeypatch.delenv("FOCSIM_THREADS", raising=False)
-    serial_xi = fs.run_xi_sweep(med, (1.0, 3.0), 2000)
-    serial_sw = fs.run_current_sweep(sweep)
+    first_xi = fs.run_xi_sweep(med, (1.0, 3.0), 2000)
+    first_sw = fs.run_current_sweep(sweep)
+    again_xi = fs.run_xi_sweep(med, (1.0, 3.0), 2000)
+    again_sw = fs.run_current_sweep(sweep)
 
-    monkeypatch.setenv("FOCSIM_THREADS", "3")
-    pooled_xi = fs.run_xi_sweep(med, (1.0, 3.0), 2000)
-    pooled_sw = fs.run_current_sweep(sweep)
-
-    assert pooled_xi == serial_xi
+    assert again_xi == first_xi
     for name in ("currents_a", "faraday_rad", "i_out", "i_ideal", "err_pct"):
-        assert np.array_equal(getattr(pooled_sw, name), getattr(serial_sw, name))
-    assert pooled_sw.max_abs_err_pct == serial_sw.max_abs_err_pct
+        assert np.array_equal(getattr(again_sw, name), getattr(first_sw, name))
+    assert again_sw.max_abs_err_pct == first_sw.max_abs_err_pct

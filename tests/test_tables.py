@@ -9,20 +9,43 @@ import numpy as np
 import pytest
 
 from focsim.constants import SCHEMA_VERSION, constants_fingerprint
-from focsim.tables import ResultTable, _csv_cell, from_json, render, to_csv, to_json
+from focsim.tables import ResultTable, _csv_cell, _json_cell, from_json, render, to_csv, to_json
 
 
 def test_row_width_is_enforced():
     with pytest.raises(ValueError):
-        ResultTable(columns=(), rows=())
+        ResultTable.from_rows(columns=(), rows=())
     with pytest.raises(ValueError):
-        ResultTable(columns=("a", "b"), rows=((1.0,),))
+        ResultTable.from_rows(columns=("a", "b"), rows=((1.0,),))
     # the message names the first bad row, whichever way it is wrong
     rows = ((1.0, 2.0), (3.0, 4.0), (5.0,), (6.0, 7.0, 8.0))
     with pytest.raises(ValueError, match=r"^row 2 has 1 cells, expected 2$"):
-        ResultTable(columns=("a", "b"), rows=rows)
+        ResultTable.from_rows(columns=("a", "b"), rows=rows)
     with pytest.raises(ValueError, match=r"^row 0 has 3 cells, expected 2$"):
-        ResultTable(columns=("a", "b"), rows=rows[3:] + rows[:3])
+        ResultTable.from_rows(columns=("a", "b"), rows=rows[3:] + rows[:3])
+
+
+def test_columns_are_checked():
+    bad_cells = (
+        (np.zeros(2),),  # one column of cells for two names
+        (np.zeros(2), (1.0,)),  # unequal lengths
+        (np.zeros((2, 1)), (1.0, 2.0)),  # not 1-D
+        (np.arange(2), (1.0, 2.0)),  # not float64
+        ([1.0, 2.0], (1.0, 2.0)),  # neither an array nor a tuple
+    )
+    for cells in bad_cells:
+        with pytest.raises(ValueError):
+            ResultTable(columns=("a", "b"), cells=cells)
+
+
+def test_rows_are_derived_from_the_columns():
+    t = ResultTable(columns=("a", "b"), cells=(np.array([0.5, -0.0]), (1, None)))
+    assert t.n_rows == 2
+    assert t.rows == ((0.5, 1), (-0.0, None))
+    assert all(type(row[0]) is float for row in t.rows)
+    assert t == ResultTable.from_rows(columns=("a", "b"), rows=t.rows)
+    assert t != ResultTable.from_rows(columns=("a", "c"), rows=t.rows)
+    assert ResultTable.from_rows(columns=("a",), rows=()).rows == ()
 
 
 def _per_cell_csv(t: ResultTable) -> str:
@@ -35,6 +58,21 @@ def _per_cell_csv(t: ResultTable) -> str:
     lines = [head, ",".join(t.columns)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in t.rows)
     return "\n".join(lines) + "\n"
+
+
+def _dumps_json(t: ResultTable) -> str:
+    """Reference rendering: json.dumps over every cell through _json_cell."""
+    obj = {
+        "metadata": t.metadata(),
+        "columns": list(t.columns),
+        "rows": [[_json_cell(v) for v in row] for row in t.rows],
+    }
+    return json.dumps(obj, indent=1) + "\n"
+
+
+def _assert_reference_renderings(t: ResultTable) -> None:
+    assert to_csv(t) == _per_cell_csv(t)
+    assert to_json(t) == _dumps_json(t)
 
 
 def _random_doubles(rng: random.Random, n: int) -> list[float]:
@@ -50,40 +88,47 @@ _EDGE_FLOATS = (
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])
-def test_all_float_csv_matches_the_per_cell_rendering(width):
+def test_float_columns_match_the_reference_renderings(width):
     rng = random.Random(width)
     cells = list(_EDGE_FLOATS) + _random_doubles(rng, 2000)
     cells += [0.0] * (-len(cells) % width)
-    rows = tuple(tuple(cells[i : i + width]) for i in range(0, len(cells), width))
+    cols = [cells[j::width] for j in range(width)]
     # "%" in the column names and the metadata must come out literally
-    t = ResultTable(
-        columns=tuple(f"c{j}%s" for j in range(width)),
-        rows=rows,
-        grid_n=7,
-        extra_metadata=(("metric", "100%d"),),
-    )
-    assert to_csv(t) == _per_cell_csv(t)
-    for some in (rows[:0], rows[:1]):
-        t = ResultTable(columns=t.columns, rows=some)
-        assert to_csv(t) == _per_cell_csv(t)
+    names = tuple(f"c{j}%s" for j in range(width))
+    md = {"grid_n": 7, "extra_metadata": (("metric", "100%d"),)}
+    for n in (len(cols[0]), 1, 0):
+        arrays = ResultTable(names, tuple(np.array(c[:n], dtype=np.float64) for c in cols), **md)
+        tuples = ResultTable(names, tuple(tuple(c[:n]) for c in cols), **md)
+        for fmt in ("csv", "json"):
+            # the array template and the per-cell path give the same bytes
+            assert render(arrays, fmt) == render(tuples, fmt), (fmt, n)
+        _assert_reference_renderings(arrays)
 
 
 @pytest.mark.parametrize(
     "odd",
-    [7, 0, True, False, None, "linear", np.float64(0.1), np.float64(math.nan)],
+    [
+        7, 0, True, False, None, "linear", 'say "\u00e9t\u00e9" \\ \u2019',
+        np.float64(0.1), np.float64(math.nan), np.float64(-math.inf),
+    ],
     ids=repr,
 )
-def test_mixed_csv_matches_the_per_cell_rendering(odd):
-    # one cell of another type among floats takes every cell through _csv_cell
-    rows = ((0.5, -0.0, math.inf), (1e-300, odd, math.nan), (2.0, 3.0, 4.0))
-    t = ResultTable(columns=("a", "b", "c"), rows=rows)
-    assert to_csv(t) == _per_cell_csv(t)
-    t = ResultTable(columns=("b",), rows=((odd,),))
-    assert to_csv(t) == _per_cell_csv(t)
+def test_mixed_columns_match_the_reference_renderings(odd):
+    # one cell of another type among floats takes its column through the
+    # per-cell path
+    rows = ((0.5, -0.0, math.inf), (1e-300, odd, math.nan), (2.0, 3.0, -math.inf))
+    md = {"extra_metadata": (("k%s", "50%"),)}
+    t = ResultTable.from_rows(columns=("a%", "b", "c"), rows=rows, **md)
+    _assert_reference_renderings(t)
+    a, b, c = t.cells
+    with_arrays = ResultTable(t.columns, (np.array(a), b, np.array(c)), **md)
+    assert to_csv(with_arrays) == to_csv(t)
+    assert to_json(with_arrays) == to_json(t)
+    _assert_reference_renderings(ResultTable.from_rows(columns=("b",), rows=((odd,),)))
 
 
 def test_csv_cell_forms():
-    t = ResultTable(
+    t = ResultTable.from_rows(
         columns=("f", "i", "s", "b", "n"),
         rows=((0.1, 7, "linear", True, None), (-2.5e-17, 0, "x", False, None)),
     )
@@ -92,11 +137,27 @@ def test_csv_cell_forms():
     assert body[2] == "0.10000000000000001,7,linear,true,"
     assert body[3] == "-2.4999999999999999e-17,0,x,false,"
     with pytest.raises(ValueError):
-        to_csv(ResultTable(columns=("s",), rows=(("a,b",),)))
+        to_csv(ResultTable.from_rows(columns=("s",), rows=(("a,b",),)))
+
+
+@pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb"], ids=repr)
+def test_csv_header_text_is_checked_like_a_cell(bad):
+    # a 2-name header over 1-cell rows, or a broken metadata line, is refused
+    tables = (
+        ResultTable.from_rows(columns=(bad,), rows=((1.0,),)),
+        ResultTable(columns=(bad,), cells=(np.array([1.0]),)),
+        ResultTable.from_rows(columns=("a",), rows=((1.0,),), extra_metadata=(("metric", bad),)),
+        ResultTable.from_rows(columns=("a",), rows=((1.0,),), extra_metadata=((bad, "x"),)),
+    )
+    for t in tables:
+        with pytest.raises(ValueError, match="would corrupt the CSV layout"):
+            to_csv(t)
+        # JSON escapes the same text
+        assert from_json(to_json(t)) == t
 
 
 def test_csv_header_carries_the_build_metadata():
-    t = ResultTable(
+    t = ResultTable.from_rows(
         columns=("a",),
         rows=((1.0,),),
         grid_n=4096,
@@ -107,12 +168,12 @@ def test_csv_header_carries_the_build_metadata():
         f"# schema={SCHEMA_VERSION}, constants={constants_fingerprint()},"
         " grid_n=4096, metric=principal"
     )
-    bare = to_csv(ResultTable(columns=("a",), rows=())).splitlines()[0]
+    bare = to_csv(ResultTable.from_rows(columns=("a",), rows=())).splitlines()[0]
     assert "grid_n" not in bare
 
 
 def test_json_replaces_nan_and_round_trips():
-    t = ResultTable(
+    t = ResultTable.from_rows(
         columns=("x", "err"),
         rows=((1.0, float("nan")), (2.0, 0.25)),
         grid_n=16,
@@ -131,7 +192,7 @@ def test_json_replaces_nan_and_round_trips():
 
 
 def test_render_dispatch():
-    t = ResultTable(columns=("a",), rows=((1,),))
+    t = ResultTable.from_rows(columns=("a",), rows=((1,),))
     assert render(t, "csv") == to_csv(t)
     assert render(t, "json") == to_json(t)
     with pytest.raises(ValueError):
