@@ -183,7 +183,7 @@ def from_json(text: str) -> ResultTable:
     extra = tuple((k, str(v)) for k, v in md.items() if k not in known)
     return ResultTable.from_rows(
         columns=tuple(obj["columns"]),
-        rows=tuple(map(tuple, obj["rows"])),
+        rows=obj["rows"],
         grid_n=md.get("grid_n"),
         extra_metadata=extra,
     )

@@ -88,7 +88,7 @@ _EDGE_FLOATS = (
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])
-def test_float_columns_match_the_reference_renderings(width):
+def test_all_float_csv_matches_the_per_cell_rendering(width):
     rng = random.Random(width)
     cells = list(_EDGE_FLOATS) + _random_doubles(rng, 2000)
     cells += [0.0] * (-len(cells) % width)
@@ -113,7 +113,7 @@ def test_float_columns_match_the_reference_renderings(width):
     ],
     ids=repr,
 )
-def test_mixed_columns_match_the_reference_renderings(odd):
+def test_mixed_csv_matches_the_per_cell_rendering(odd):
     # one cell of another type among floats takes its column through the
     # per-cell path
     rows = ((0.5, -0.0, math.inf), (1e-300, odd, math.nan), (2.0, 3.0, -math.inf))
