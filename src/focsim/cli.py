@@ -14,19 +14,20 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
 from .config import AppConfig, default_config, load_config, parse_config, serialize_config
 from .errors import ConfigError, FocsimError, FringeNullError, NumericDomainError
 from .experiments import (
+    ConvergenceRow,
+    SweepResult,
+    XiSweepRow,
     run_convergence_ladder,
     run_current_sweep,
-    run_xi_sweep,
     run_perturbation_study,
-    CurrentSweepSpec,
-    SweepResult,
+    run_xi_sweep,
 )
 from .spun import grid_for, propagate_trajectory
 from .tables import ResultTable, render
@@ -34,16 +35,9 @@ from .tables import ResultTable, render
 _SWEEP_COLUMNS = ("current_a", "faraday_rad", "i_out", "i_ideal", "relative_error_pct")
 
 
-def _current_table(cfg: AppConfig, currents) -> tuple[SweepResult, ResultTable]:
+def _current_table(cfg: AppConfig, currents=None) -> tuple[SweepResult, ResultTable]:
     """The configured front end and coil swept over currents, one row each."""
-    res = run_current_sweep(
-        CurrentSweepSpec(
-            front_end=cfg.front_end.build(),
-            currents_a=tuple(currents),
-            verdet_rad_per_amp_turn=cfg.coil.verdet_rad_per_amp_turn,
-            turns=cfg.coil.turns,
-        )
-    )
+    res = run_current_sweep(cfg.sweep_spec(currents))
     table = ResultTable(
         columns=_SWEEP_COLUMNS,
         cells=(res.currents_a, res.faraday_rad, res.i_out, res.i_ideal, res.err_pct),
@@ -82,8 +76,11 @@ def _trajectory(cfg: AppConfig) -> ResultTable:
 
 
 def _sweep_current(cfg: AppConfig) -> ResultTable:
-    currents = np.linspace(0.0, cfg.current_sweep.max_a, cfg.current_sweep.points)
-    return _current_table(cfg, currents)[1]
+    return _current_table(cfg)[1]
+
+
+def _names(row_type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(row_type))
 
 
 def _sweep_xi(cfg: AppConfig) -> ResultTable:
@@ -91,30 +88,9 @@ def _sweep_xi(cfg: AppConfig) -> ResultTable:
     for kind in cfg.xi_sweep.profiles:
         medium = replace(cfg.medium, profile=replace(cfg.medium.profile, kind=kind)).build()
         res = run_xi_sweep(medium, cfg.xi_sweep.ratios, cfg.xi_sweep.n_segments)
-        for r in res.rows:
-            rows.append(
-                (
-                    kind,
-                    r.xi_over_delta,
-                    r.delta_eps_pp_settled,
-                    r.rms_eps_settled,
-                    r.mean_eps_settled,
-                    r.delta_eps_pp_full,
-                    r.conversion_length_m,
-                    r.ripple_flagged,
-                )
-            )
+        rows.extend((kind, *astuple(r)) for r in res.rows)
     return ResultTable.from_rows(
-        columns=(
-            "profile",
-            "xi_over_delta",
-            "delta_eps_pp_settled",
-            "rms_eps_settled",
-            "mean_eps_settled",
-            "delta_eps_pp_full",
-            "conversion_length_m",
-            "ripple_flagged",
-        ),
+        columns=("profile", *_names(XiSweepRow)),
         rows=tuple(rows),
         grid_n=cfg.xi_sweep.n_segments,
     )
@@ -161,13 +137,9 @@ def _converge(cfg: AppConfig) -> ResultTable:
         cfg.convergence.reference_n,
     )
     ratios = res.ratios() + (None,)
-    rows = tuple(
-        (row.n_segments, row.max_abs_dev, ratios[i])
-        for i, row in enumerate(res.rows)
-    )
     return ResultTable.from_rows(
-        columns=("n_segments", "max_abs_dev", "ratio"),
-        rows=rows,
+        columns=(*_names(ConvergenceRow), "ratio"),
+        rows=tuple((*astuple(row), ratio) for row, ratio in zip(res.rows, ratios)),
         grid_n=cfg.convergence.reference_n,
     )
 

@@ -21,6 +21,10 @@ transition, the profile kind a front end needs) run when a section is
 built, and fail as ConfigError with the section path (``medium`` or
 ``front_end.medium``).
 
+The library's default devices, medium and current sweep
+(``default_demo_medium()`` and the rest) are these defaults built, so the
+CLI and the library read the constants in one place.
+
 Every file may carry an assumed-constants block; values that disagree with
 this build are rejected, not silently reinterpreted.
 """
@@ -31,15 +35,11 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
+import numpy as np
+
 from .constants import ASSUMED_CONSTANTS, SCHEMA_VERSION, constant
 from .errors import ConfigError
-from .experiments import (
-    FrontEnd,
-    front_end_high_order,
-    front_end_ideal,
-    front_end_imperfect,
-    front_end_spun,
-)
+from .experiments import CurrentSweepSpec, FrontEnd
 from .elements import ImperfectWaveplate
 from .spun import SpinProfile, SpunMediumSpec
 
@@ -73,12 +73,18 @@ def _length(positive: bool):
     return check
 
 
+# the largest int64: numpy indexes and float products take every count up to it
+_INT_MAX = 2**63 - 1
+
+
 def _integer(least: int):
     def check(v, path: str) -> int:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError("expected an integer", path)
         if v < least:
             raise ConfigError(f"must be at least {least}", path)
+        if v > _INT_MAX:
+            raise ConfigError(f"must be at most {_INT_MAX}", path)
         return v
 
     return check
@@ -198,18 +204,15 @@ class FrontEndConfig:
         return cls(kind, medium=medium, n_segments=int(constant("front_end_segments")))
 
     def build(self) -> FrontEnd:
-        if self.kind == "ideal":
-            return front_end_ideal()
-        if self.kind == "imperfect_qwp":
+        plate = medium = None
+        if self.cut_deviation_m is not None:
             plate = ImperfectWaveplate.from_cut_deviation(
-                cut_deviation_m=self.cut_deviation_m,
-                splice_angle_rad=self.splice_angle_rad,
+                self.cut_deviation_m, self.splice_angle_rad
             )
-            return front_end_imperfect(plate)
-        medium = self.medium.build("front_end.medium")
-        make = front_end_spun if self.kind == "spun_fiber" else front_end_high_order
+        if self.medium is not None:
+            medium = self.medium.build("front_end.medium")
         try:
-            return make(medium, self.n_segments)
+            return FrontEnd(self.kind, plate, medium, self.n_segments or 0)
         except ValueError as exc:
             raise ConfigError(str(exc), "front_end.medium") from exc
 
@@ -272,6 +275,18 @@ class AppConfig:
     perturbation: PerturbationConfig
     convergence: ConvergenceConfig
 
+    def sweep_spec(self, currents=None) -> CurrentSweepSpec:
+        """The front end and coil swept over currents (the current_sweep grid
+        when None)."""
+        if currents is None:
+            currents = np.linspace(0.0, self.current_sweep.max_a, self.current_sweep.points)
+        return CurrentSweepSpec(
+            front_end=self.front_end.build(),
+            currents_a=tuple(currents),
+            verdet_rad_per_amp_turn=self.coil.verdet_rad_per_amp_turn,
+            turns=self.coil.turns,
+        )
+
 
 def default_config() -> AppConfig:
     sweep_segments = int(constant("sweep_segments"))
@@ -314,6 +329,27 @@ def default_config() -> AppConfig:
             segment_counts=(16384, 32768, 65536, 131072), reference_n=1 << 20
         ),
     )
+
+
+# ------------------------------------------------- library default objects
+
+
+def default_demo_medium() -> SpunMediumSpec:
+    """The lab-bench medium used by default across campaigns."""
+    return default_config().medium.build()
+
+
+def default_high_order_front_end() -> FrontEnd:
+    return FrontEndConfig.default("high_order_qwp").build()
+
+
+def default_spun_front_end() -> FrontEnd:
+    return FrontEndConfig.default("spun_fiber").build()
+
+
+def default_sweep_spec(front_end: FrontEnd | None = None) -> CurrentSweepSpec:
+    spec = default_config().sweep_spec()
+    return spec if front_end is None else replace(spec, front_end=front_end)
 
 
 # ------------------------------------------------------ reading and writing

@@ -255,19 +255,16 @@ def _rotator_stack(angles_rad: Sequence[float]) -> npt.NDArray[np.complex128]:
 
 
 def roundtrip_fields(
-    converter: tuple[JonesMatrix, JonesMatrix],
-    f_rad: Sequence[float],
-    e_in: JonesVector | None = None,
+    converter: tuple[JonesMatrix, JonesMatrix], f_rad: Sequence[float]
 ) -> npt.NDArray[np.complex128]:
     """Detector fields, shape (n, 2), for one converter at n Faraday angles.
 
     Only the coil rotation depends on F, so the whole chain is one stacked
     product evaluated in the same left-to-right order as a single pass.
     A converter pair stacked as (P, 1, 2, 2) gives fields (P, n, 2), each
-    slice equal to that converter's own call.
+    slice equal to that converter's own call. The chain starts with a
+    polarizer, so the launch field is the unit field it passes, (1, 0).
     """
-    if e_in is None:
-        e_in = jones_vector(1.0, 0.0)
     q_in, q_out = converter
     r = _rotator_stack(f_rad)
     pol = polarizer()
@@ -282,16 +279,16 @@ def roundtrip_fields(
         @ splice45_in()
         @ pol
     )
-    return chain @ e_in
+    return chain @ jones_vector(1.0, 0.0)
 
 
 def _ideal_pair() -> tuple[JonesMatrix, JonesMatrix]:
     return qwp_ideal_in(), qwp_ideal_out()
 
 
-def roundtrip_field(s: FocsScenario, e_in: JonesVector | None = None) -> JonesVector:
+def roundtrip_field(s: FocsScenario) -> JonesVector:
     """Field at the detector after the full reflective pass."""
-    return roundtrip_fields(s.converter or _ideal_pair(), (s.coil.rotation_angle_f_rad,), e_in)[0]
+    return roundtrip_fields(s.converter or _ideal_pair(), (s.coil.rotation_angle_f_rad,))[0]
 
 
 def ideal_intensity(f_rad: float) -> float:
@@ -306,7 +303,7 @@ def _intensities(fields: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
     return np.array([abs(ex) ** 2 + abs(ey) ** 2 for ex, ey in flat]).reshape(fields.shape[:-1])
 
 
-def detected_intensity(s: FocsScenario, e_in: JonesVector | None = None) -> IntensityResult:
+def detected_intensity(s: FocsScenario) -> IntensityResult:
     """Detected intensity and its relative error against the numeric ideal chain.
 
     A single rotation angle at a fringe null raises FringeNullError. For a
@@ -321,8 +318,8 @@ def detected_intensity(s: FocsScenario, e_in: JonesVector | None = None) -> Inte
     if not swept and np.ndim(converter[0]) > 2:
         raise ValueError("a stacked converter pair needs a swept coil")
     angles = f if swept else (f,)
-    i_out = _intensities(roundtrip_fields(converter, angles, e_in))
-    i_ideal = _intensities(roundtrip_fields(_ideal_pair(), angles, e_in))
+    i_out = _intensities(roundtrip_fields(converter, angles))
+    i_ideal = _intensities(roundtrip_fields(_ideal_pair(), angles))
     null = i_ideal < FRINGE_FLOOR
     if not swept:
         if null[0]:

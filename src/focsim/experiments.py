@@ -5,6 +5,10 @@ immutable result, evaluated serially in a fixed order. A current sweep is
 one detected_intensity call on a coil swept over all its currents, one
 stacked chain product (elements.roundtrip_fields); an imperfection scan also
 stacks its plates' converter pairs, one call over plates x currents.
+
+The default devices, medium and sweep spec are built in config
+(config.default_high_order_front_end() and the rest), from the defaults the
+CLI reads.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .elements import (
 from .errors import NumericDomainError
 from .jones import JonesMatrix
 from .spun import (
-    SpinProfile,
     SpunMediumSpec,
     StabilityMetrics,
     conversion_length,
@@ -135,15 +138,6 @@ class CurrentSweepSpec:
     currents_a: tuple[float, ...]
     verdet_rad_per_amp_turn: float
     turns: int
-
-
-def default_sweep_spec(front_end: FrontEnd | None = None) -> CurrentSweepSpec:
-    return CurrentSweepSpec(
-        front_end=front_end if front_end is not None else front_end_ideal(),
-        currents_a=tuple(default_current_grid()),
-        verdet_rad_per_amp_turn=float(constant("verdet_rad_per_amp_turn")),
-        turns=int(constant("coil_turns")),
-    )
 
 
 @dataclass(frozen=True)
@@ -405,49 +399,3 @@ def run_convergence_ladder(
         rows=tuple(one(n) for n in segment_counts),
         reference_n=reference_n,
     )
-
-
-def default_demo_medium() -> SpunMediumSpec:
-    """The lab-bench medium used by default across campaigns."""
-    delta = 2.0 * math.pi / float(constant("medium_beat_length_m"))
-    profile = SpinProfile(
-        kind=str(constant("medium_profile")),
-        xi_max_rad_per_m=float(constant("medium_xi_over_delta")) * delta,
-        lead_in_l1_m=float(constant("medium_lead_in_m")),
-        transition_l2_m=float(constant("medium_transition_m")),
-    )
-    return SpunMediumSpec(
-        total_length_m=float(constant("medium_total_length_m")),
-        delta_rad_per_m=delta,
-        profile=profile,
-    )
-
-
-def default_high_order_front_end() -> FrontEnd:
-    delta = device_delta()
-    profile = SpinProfile(
-        kind="cosine",
-        xi_max_rad_per_m=float(constant("ho_qwp_xi_over_delta")) * delta,
-        lead_in_l1_m=0.0,
-        transition_l2_m=float(constant("ho_qwp_transition_m")),
-    )
-    medium = SpunMediumSpec(
-        total_length_m=float(constant("ho_qwp_total_length_m")),
-        delta_rad_per_m=delta,
-        profile=profile,
-    )
-    return front_end_high_order(medium, int(constant("front_end_segments")))
-
-
-def default_spun_front_end() -> FrontEnd:
-    delta = device_delta()
-    profile = SpinProfile(
-        kind="constant",
-        xi_max_rad_per_m=float(constant("spun_fiber_xi_over_delta")) * delta,
-    )
-    medium = SpunMediumSpec(
-        total_length_m=float(constant("spun_fiber_total_length_m")),
-        delta_rad_per_m=delta,
-        profile=profile,
-    )
-    return front_end_spun(medium, int(constant("front_end_segments")))

@@ -26,7 +26,6 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 def run_cli(*args, env_extra=None, check=True):
     env = os.environ.copy()
-    env.pop("FOCSIM_THREADS", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -134,8 +133,7 @@ def test_trajectory_stride_and_metric():
     assert "metric=axis_ratio" in proc.stdout.splitlines()[0]
 
 
-def test_trajectory_rows_match_the_library_scan(capsys, monkeypatch):
-    monkeypatch.delenv("FOCSIM_THREADS", raising=False)
+def test_trajectory_rows_match_the_library_scan(capsys):
     medium = default_config().medium.build()
     n = 3001
     for metric in ("principal", "axis_ratio"):
@@ -227,7 +225,7 @@ def test_simulate_row_is_the_sweep_row_at_its_current(tmp_path, capsys):
             assert (code, out.splitlines()) == (0, header + [row]), (front_end, current, err)
 
 
-def test_bad_config_exits_2_with_the_key_path(tmp_path, capsys, monkeypatch):
+def test_bad_config_exits_2_with_the_key_path(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"medium": {"profile": {"bogus": 1}}}')
     proc = run_cli("simulate", "--config", str(p), check=False)
@@ -236,10 +234,10 @@ def test_bad_config_exits_2_with_the_key_path(tmp_path, capsys, monkeypatch):
     assert "medium.profile.bogus" in proc.stderr
     assert proc.stdout == ""
     # a flag fails exactly like the same value under its key in a file
-    monkeypatch.delenv("FOCSIM_THREADS", raising=False)
     cases = [
         (("trajectory", "--stride", "0"), "trajectory.stride", 0),
         (("trajectory", "--stride", "-3"), "trajectory.stride", -3),
+        (("trajectory", "--stride", str(2**63)), "trajectory.stride", 2**63),
         (("sweep-current", "--points", "1"), "current_sweep.points", 1),
         (("converge", "--counts", "0"), "convergence.segment_counts", [0]),
         (("trajectory", "--segments", "0"), "trajectory.n_segments", 0),
@@ -323,8 +321,24 @@ def _table_is_finite(csv_text: str) -> bool:
     return True
 
 
-def test_single_key_mutations_exit_cleanly(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("FOCSIM_THREADS", raising=False)
+def test_integers_beyond_int64_exit_2(tmp_path, capsys):
+    # a turns count float() cannot hold raised OverflowError out of cli.main;
+    # 2**63 as a stride (in test_bad_config_exits_2_with_the_key_path) raised
+    # IndexError from numpy's int64 index
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"coil": {"turns": 10**400}}))
+    for command in ("simulate", "sweep-current"):
+        code, out, err = run_main(capsys, command, "--config", str(p))
+        assert (code, out) == (2, ""), (command, err)
+        assert err.startswith("focsim: config error: coil.turns: "), err
+    # the largest int64 is still a stride: the first and the last position
+    code, out, _ = run_main(
+        capsys, "trajectory", "--segments", "1000", "--stride", str(2**63 - 1)
+    )
+    assert code == 0 and len(out.splitlines()) == 2 + 2
+
+
+def test_single_key_mutations_exit_cleanly(tmp_path, capsys):
     p = tmp_path / "mutant.json"
     failures, runs = [], 0
     for kind in ("ideal", "imperfect_qwp", "spun_fiber", "high_order_qwp"):
@@ -399,10 +413,8 @@ def test_stdout_is_deterministic_and_timing_goes_to_stderr():
     assert a.stdout == b.stdout
     assert "finished in" in a.stderr
     assert "finished in" not in a.stdout
-    c = run_cli("sweep-current", "--points", "41", env_extra={"FOCSIM_THREADS": "2"})
+    c = run_cli("sweep-current", "--points", "41", "--seedless")
     assert c.stdout == a.stdout
-    d = run_cli("sweep-current", "--points", "41", "--seedless")
-    assert d.stdout == a.stdout
 
 
 def test_out_file_matches_stdout_bytes(tmp_path):
