@@ -5,8 +5,8 @@ a partial config with the same checks as the file, runs one campaign, and
 emits a single table to stdout or --out. Timing goes to stderr so the
 emitted bytes depend only on the configuration.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric domain error,
-4 output I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 numeric domain error or
+a failed allocation, 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -259,6 +259,9 @@ def main(argv=None) -> int:
         return 3
     except FocsimError as exc:
         print(f"focsim: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"focsim: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     try:
         _write_out(text, args.out)

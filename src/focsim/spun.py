@@ -12,18 +12,26 @@ rule makes the product error fall off as 1/N, the first-order behavior the
 convergence contract asserts; evaluating theta at the segment midpoint is
 available as an option and converges at second order instead.
 
-Products are evaluated as pairwise trees over fixed-size chunks. Trajectory
-scans carry only the Jones state: each segment is the SU(2) pair
-(alpha, beta) of its matrix [[alpha, -conj(beta)], [beta, conj(alpha)]],
-and a blocked scan over fixed-size blocks computes each block's total,
-carries the state across the block totals in order, then propagates it
-through every block at once. Chunk and block sizes are constants, so
-results are bit-reproducible regardless of platform thread settings.
+Products are evaluated as pairwise trees over fixed-size chunks. Each
+chunk's tree is built from power-of-two sub-blocks aligned to the chunk
+start: every sub-block is reduced on its own, then the sub-block products
+are reduced in order. No pair of the whole-chunk tree crosses a sub-block
+seam, so the grouping, and every bit of the result, are those of one tree
+over the whole chunk, while only one sub-block is held in memory.
+
+Trajectory scans carry only the Jones state: each segment is the SU(2)
+pair (alpha, beta) of its matrix [[alpha, -conj(beta)], [beta,
+conj(alpha)]], and a blocked scan over fixed-size blocks computes each
+block's total, carries the state across the block totals in order, then
+propagates it through every block at once. Chunk, sub-block and block
+sizes are constants, so results are bit-reproducible regardless of
+platform thread settings.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -40,6 +48,9 @@ from .jones import JonesMatrix, JonesVector, jones_vector
 
 _CHUNK = 1 << 19
 _BLOCK = 1 << 9
+# a power of two no larger than _CHUNK, or the sub-block trees stop being
+# subtrees of the whole-chunk tree and total_matrix changes in the last bits
+_SUB = 1 << 14
 
 ProfileKind = Literal["linear", "cosine", "constant", "sampled"]
 MetricKind = Literal["principal", "axis_ratio"]
@@ -263,13 +274,14 @@ def _ordered_product(m: npt.NDArray[np.complex128]) -> JonesMatrix:
     return m[0]
 
 
-def _chunks(spec: SpunMediumSpec, grid: PropagationGrid) -> list[tuple[int, int]]:
+def _chunks(spec: SpunMediumSpec, grid: PropagationGrid) -> Iterator[tuple[int, int]]:
     """In order, the [lo, hi) ranges of at most _CHUNK segments that cover
-    the grid, which must span the medium."""
+    the grid, which must span the medium. The check runs at the call; the
+    ranges are made as they are taken."""
     if abs(grid.total_length_m - spec.total_length_m) > 1e-12 * spec.total_length_m:
         raise ValueError("grid does not cover the medium length")
     n = grid.n_segments
-    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
 def total_matrix(
@@ -281,7 +293,11 @@ def total_matrix(
     n = grid.n_segments
     out = np.eye(2, dtype=np.complex128)
     for lo, hi in _chunks(spec, grid):
-        out = _ordered_product(_segment_block(spec, n, lo, hi, angle_rule)) @ out
+        parts = [
+            _ordered_product(_segment_block(spec, n, a, min(a + _SUB, hi), angle_rule))
+            for a in range(lo, hi, _SUB)
+        ]
+        out = _ordered_product(np.stack(parts)) @ out
     return out
 
 

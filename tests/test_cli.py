@@ -388,6 +388,22 @@ def test_thread_variable_changes_nothing(capsys, monkeypatch):
             assert run_main(capsys, cmd)[:2] == (0, unset), (cmd, raw)
 
 
+def test_failed_allocation_exits_3_without_a_traceback(capsys, monkeypatch):
+    # numpy's message, and a bare MemoryError; nothing is really allocated
+    numpy_text = "Unable to allocate 7.28 TiB for an array with shape (1000000000001,)"
+    cases = ((MemoryError(numpy_text), numpy_text), (MemoryError(), "allocation failed"))
+    for exc, text in cases:
+
+        def runner(cfg, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(cli._RUNNERS, "trajectory", runner)
+        code, out, err = run_main(capsys, "trajectory")
+        assert (code, out) == (3, ""), err
+        assert err == f"focsim: out of memory: {text}\n"
+        assert "Traceback" not in err
+
+
 def test_unwritable_output_exits_4(tmp_path):
     proc = run_cli(
         "simulate", "--out", str(tmp_path / "no-such-dir" / "x.csv"), check=False

@@ -6,6 +6,7 @@ reference implementation in _frozen.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,45 @@ def test_total_matrix_reproduces_frozen_golden():
 def test_total_matrix_stays_unitary_at_large_n():
     j = total_matrix(DEMO, grid_for(DEMO, 1_000_000))
     assert np.max(np.abs(j.conj().T @ j - np.eye(2))) < 1e-9
+
+
+_SUB = fs.spun._SUB
+_CHUNK = fs.spun._CHUNK
+
+
+@pytest.mark.parametrize("angle_rule", ["left", "midpoint"])
+@pytest.mark.parametrize("n", [1, _SUB - 1, _SUB, _SUB + 1, 3 * _SUB + 77, _CHUNK + 1])
+def test_sub_block_trees_keep_the_whole_chunk_bits(n, angle_rule):
+    """total_matrix against one pairwise tree over each whole chunk: the
+    sub-block trees must regroup nothing, so the bits are equal."""
+    spun = fs.spun
+    grid = grid_for(DEMO, n)
+    want = np.eye(2, dtype=np.complex128)
+    for lo, hi in spun._chunks(DEMO, grid):
+        want = spun._ordered_product(spun._segment_block(DEMO, n, lo, hi, angle_rule)) @ want
+    assert np.array_equal(total_matrix(DEMO, grid, angle_rule=angle_rule), want)
+
+
+def test_total_matrix_memory_is_bounded():
+    # the traced peak is one sub-block's segments and temporaries: 1.86 MB
+    # at 2^20 segments, where one tree over each whole 2^19-segment chunk
+    # peaked at 58.7 MB (tracemalloc, numpy 2.4.6)
+    grid = grid_for(DEMO, 1 << 20)
+    tracemalloc.start()
+    try:
+        total_matrix(DEMO, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_chunk_ranges_are_made_as_they_are_taken():
+    # 2^62 segments make 2^43 ranges; only the first is ever built here
+    grid = fs.PropagationGrid(2**62, DEMO.total_length_m)
+    assert next(iter(fs.spun._chunks(DEMO, grid))) == (0, _CHUNK)
+    with pytest.raises(ValueError, match="does not cover"):
+        fs.spun._chunks(DEMO, fs.PropagationGrid(2**62, 2.0 * DEMO.total_length_m))
 
 
 def test_left_endpoint_rule_refines_at_first_order(demo_reference):
