@@ -2,11 +2,13 @@
 
 Every subcommand reads an optional JSON config, reads its flags over it as
 a partial config with the same checks as the file, runs one campaign, and
-emits a single table to stdout or --out. Timing goes to stderr so the
-emitted bytes depend only on the configuration.
+emits a single table to stdout or --out, writing each piece of rows as it
+is formatted. Timing goes to stderr so the emitted bytes depend only on
+the configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric domain error or
-a failed allocation, 4 output I/O failure.
+a failed allocation, 4 output I/O failure. On 3 or 4 after the first
+piece, the output holds part of the table.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -30,7 +33,7 @@ from .experiments import (
     run_xi_sweep,
 )
 from .spun import grid_for, propagate_trajectory
-from .tables import ResultTable, render
+from .tables import ResultTable, render_pieces
 
 _SWEEP_COLUMNS = ("current_a", "faraday_rad", "i_out", "i_ideal", "relative_error_pct")
 
@@ -231,13 +234,14 @@ def _flag_document(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _write_out(text: str, out_path: str | None) -> None:
+def _write_out(pieces: Iterable[str], out_path: str | None) -> None:
+    """Write each piece as it is produced."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         sys.stdout.flush()
         return
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 def main(argv=None) -> int:
@@ -248,9 +252,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else default_config()
         cfg = parse_config(_flag_document(args), base=cfg)
         if args.command == "print-config":
-            text = serialize_config(cfg)
+            pieces = (serialize_config(cfg),)
         else:
-            text = render(_RUNNERS[args.command](cfg), args.format)
+            pieces = render_pieces(_RUNNERS[args.command](cfg), args.format)
+        # the table is formatted while it is written, so a failed allocation
+        # or write can leave part of it behind
+        _write_out(pieces, args.out)
     except ConfigError as exc:
         print(f"focsim: config error: {exc}", file=sys.stderr)
         return 2
@@ -263,8 +270,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"focsim: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
-    try:
-        _write_out(text, args.out)
     except OSError as exc:
         print(f"focsim: cannot write output: {exc}", file=sys.stderr)
         return 4

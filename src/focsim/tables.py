@@ -1,8 +1,10 @@
 """Tabular results and their CSV/JSON renderings.
 
 A table holds one entry per column: a 1-D float64 array, or a tuple of
-cells. Both renderers read the columns directly and fill one %-template
-with every cell in row order:
+cells. Both renderers read the columns directly and produce the text as
+pieces of at most ``_PIECE`` rows, each one %-fill of a row template with
+that piece's cells in row order, so rendering holds one piece at a time
+and ``render`` is the join of the pieces:
 
 * CSV: when every column is a float64 array, each cell is "%.17g" of the
   float (17 significant digits round-trip an IEEE double exactly);
@@ -12,6 +14,8 @@ with every cell in row order:
   ``_json_cell`` (NaN becomes null; +-inf stays Infinity/-Infinity).
 
 ``_csv_cell`` and ``_json_text`` are the definitions of a cell's text.
+Every check of a table (``_csv_text``: text that would break the CSV
+layout) runs before its first piece is produced.
 Both formats are byte-deterministic for identical table values: no wall
 clock, no environment, no dict-ordering hazards.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -103,16 +108,33 @@ class ResultTable:
         return md
 
 
-def _fill(head: str, row: str, sep: str, tail: str, n: int, values) -> str:
-    """``head``, ``n`` copies of the ``row`` template joined by ``sep``, and
-    ``tail``, filled with ``values``: every cell in row order.
+# rows per %-fill: a piece's cells, template and text are all that one
+# rendering step holds, whatever the length of the table
+_PIECE = 1 << 12
 
-    One %-operation keeps the per-cell work in C; the head goes into the
-    template (its "%" escaped) so a large table is not copied once more to
-    prepend it.
+
+def _pieces(head: str, row: str, sep: str, tail: str, n: int, cells_of) -> Iterator[str]:
+    """``head``; ``n`` copies of the ``row`` template joined by ``sep``, filled
+    with ``cells_of(lo, hi)`` (the cells of rows [lo, hi) in row order) in
+    pieces of at most ``_PIECE`` rows; and ``tail``.
+
+    One %-operation per piece keeps the per-cell work in C.
     """
-    body = (row + sep) * (n - 1) + row if n else ""
-    return (head.replace("%", "%%") + body + tail) % tuple(values)
+    yield head
+    for lo in range(0, n, _PIECE):
+        hi = min(lo + _PIECE, n)
+        template = (sep + row) * (hi - lo)
+        yield (template[len(sep):] if lo == 0 else template) % tuple(cells_of(lo, hi))
+    yield tail
+
+
+def _texts(table: ResultTable, text_of):
+    """``cells_of`` for ``_pieces``: ``text_of`` of each cell, row by row."""
+
+    def cells_of(lo: int, hi: int):
+        return chain.from_iterable(zip(*(map(text_of, _cells(c[lo:hi])) for c in table.cells)))
+
+    return cells_of
 
 
 def _csv_text(v: str, what: str) -> str:
@@ -130,10 +152,10 @@ def _csv_cell(v: Cell) -> str:
         return str(v)
     if isinstance(v, float):
         return format(v, ".17g")
-    return _csv_text(v, "cell")
+    return v
 
 
-def to_csv(table: ResultTable) -> str:
+def _csv_pieces(table: ResultTable) -> Iterator[str]:
     md = table.metadata()
     head = f"# schema={md['schema_version']}, constants={md['constants_fingerprint']}"
     if "grid_n" in md:
@@ -143,12 +165,19 @@ def to_csv(table: ResultTable) -> str:
     head += "\n" + ",".join(_csv_text(c, "column name") for c in table.columns) + "\n"
     if all(isinstance(col, np.ndarray) for col in table.cells):
         # "%.17g" % v is format(v, ".17g"), _csv_cell's text of a float
-        cell, values = "%.17g", np.column_stack(table.cells).ravel().tolist()
+        cell = "%.17g"
+
+        def cells_of(lo, hi):
+            return np.column_stack([c[lo:hi] for c in table.cells]).ravel().tolist()
+
     else:
-        texts = [list(map(_csv_cell, _cells(col))) for col in table.cells]
-        cell, values = "%s", chain.from_iterable(zip(*texts))
+        # text cells are checked here, before the first piece is taken
+        for v in chain.from_iterable(c for c in table.cells if isinstance(c, tuple)):
+            if isinstance(v, str):
+                _csv_text(v, "cell")
+        cell, cells_of = "%s", _texts(table, _csv_cell)
     row = ",".join([cell] * len(table.columns)) + "\n"
-    return _fill(head, row, "", "", table.n_rows, values)
+    return _pieces(head, row, "", "", table.n_rows, cells_of)
 
 
 def _json_cell(v: Cell) -> Cell:
@@ -165,15 +194,36 @@ def _json_text(v: Cell) -> str:
     return json.dumps(_json_cell(v))
 
 
-def to_json(table: ResultTable) -> str:
+def _json_pieces(table: ResultTable) -> Iterator[str]:
     obj = {"metadata": table.metadata(), "columns": list(table.columns), "rows": []}
     head = json.dumps(obj, indent=1).removesuffix("[]\n}")
     if not table.n_rows:
-        return head + "[]\n}\n"
+        return iter((head + "[]\n}\n",))
     row = "  [\n   " + ",\n   ".join(["%s"] * len(table.columns)) + "\n  ]"
-    texts = [list(map(_json_text, _cells(col))) for col in table.cells]
-    values = chain.from_iterable(zip(*texts))
-    return _fill(head + "[\n", row, ",\n", "\n ]\n}\n", table.n_rows, values)
+    return _pieces(head + "[\n", row, ",\n", "\n ]\n}\n", table.n_rows, _texts(table, _json_text))
+
+
+def render_pieces(table: ResultTable, fmt: str) -> Iterator[str]:
+    """The text of ``render(table, fmt)`` as pieces of at most ``_PIECE``
+    rows, each formatted as it is taken. Every check of the table and its
+    header runs before this returns."""
+    if fmt == "csv":
+        return _csv_pieces(table)
+    if fmt == "json":
+        return _json_pieces(table)
+    raise ValueError(f"unknown output format {fmt!r}")
+
+
+def render(table: ResultTable, fmt: str) -> str:
+    return "".join(render_pieces(table, fmt))
+
+
+def to_csv(table: ResultTable) -> str:
+    return "".join(_csv_pieces(table))
+
+
+def to_json(table: ResultTable) -> str:
+    return "".join(_json_pieces(table))
 
 
 def from_json(text: str) -> ResultTable:
@@ -188,10 +238,3 @@ def from_json(text: str) -> ResultTable:
         extra_metadata=extra,
     )
 
-
-def render(table: ResultTable, fmt: str) -> str:
-    if fmt == "csv":
-        return to_csv(table)
-    if fmt == "json":
-        return to_json(table)
-    raise ValueError(f"unknown output format {fmt!r}")

@@ -13,26 +13,26 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
+
+import numpy as np
+import pytest
 
 import focsim as fs
 from focsim import cli
 from focsim.config import default_config, parse_config, serialize_config
 from focsim.constants import constants_fingerprint
-from focsim.tables import ResultTable, render
+from focsim.tables import _PIECE, ResultTable, render, render_pieces
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def run_cli(*args, env_extra=None, check=True):
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "focsim.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -412,6 +412,53 @@ def test_unwritable_output_exits_4(tmp_path):
     assert "cannot write" in proc.stderr
 
 
+def test_failed_allocation_while_writing_exits_3(tmp_path, capsys, monkeypatch):
+    # the second piece fails to allocate after the first has been written
+    def render_pieces_then_fail(table, fmt):
+        pieces = render_pieces(table, fmt)
+        yield next(pieces)
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "render_pieces", render_pieces_then_fail)
+    head = next(render_pieces(cli._trajectory(default_config()), "csv"))
+    out = tmp_path / "t.csv"
+    for args in ((), ("--out", str(out))):
+        code, stdout, err = run_main(capsys, "trajectory", *args)
+        assert code == 3
+        assert err == "focsim: out of memory: allocation failed\n"
+        assert (out.read_text() if args else stdout) == head
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_exits_4_with_one_line():
+    # the device fills at the first piece that reaches it, stdout or --out
+    args = (sys.executable, "-m", "focsim.cli", "trajectory", "--segments", "20000", "--stride", "1")
+    with open("/dev/full", "w") as full:
+        to_stdout = subprocess.run(args, stdout=full, stderr=subprocess.PIPE, text=True)
+    to_out = subprocess.run((*args, "--out", "/dev/full"), capture_output=True, text=True)
+    for proc in (to_stdout, to_out):
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("focsim: cannot write output: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_table_writing_memory_is_bounded():
+    # the traced peak is one piece's cells and text: 0.5 MB (CSV) and 1.1 MB
+    # (JSON) at 540k rows, where the whole-table text peaked at 80.9 and
+    # 150.4 MB (tracemalloc, Python 3.11)
+    n = 540_001
+    rng = np.random.default_rng(0)
+    table = ResultTable(columns=("z_m", "epsilon"), cells=(np.linspace(0.0, 3.2, n), rng.random(n)))
+    for fmt in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            cli._write_out(render_pieces(table, fmt), os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, (fmt, peak)
+
+
 def test_print_config_is_a_fixed_point(tmp_path):
     first = run_cli("print-config").stdout
     p = tmp_path / "echo.json"
@@ -437,3 +484,9 @@ def test_out_file_matches_stdout_bytes(tmp_path):
     p = tmp_path / "t.csv"
     run_cli("simulate", "--out", str(p))
     assert p.read_text() == run_cli("simulate").stdout
+    # a trajectory of three pieces of rows, in both formats
+    segments = str(2 * _PIECE + 100)
+    for fmt in ("csv", "json"):
+        args = ("trajectory", "--segments", segments, "--stride", "1", "--format", fmt)
+        run_cli(*args, "--out", str(p))
+        assert p.read_bytes() == run_cli(*args).stdout.encode("utf-8"), fmt

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 
 from focsim.constants import SCHEMA_VERSION, constants_fingerprint
-from focsim.tables import ResultTable, _csv_cell, _json_cell, from_json, render, to_csv, to_json
+from focsim.tables import (
+    _PIECE,
+    ResultTable,
+    _csv_cell,
+    _json_cell,
+    from_json,
+    render,
+    render_pieces,
+    to_csv,
+    to_json,
+)
 
 
 def test_row_width_is_enforced():
@@ -92,11 +102,15 @@ def test_all_float_csv_matches_the_per_cell_rendering(width):
     rng = random.Random(width)
     cells = list(_EDGE_FLOATS) + _random_doubles(rng, 2000)
     cells += [0.0] * (-len(cells) % width)
+    n_first = len(cells) // width
+    # then enough rows for both seams of two pieces and a row: every count
+    # at a seam, and one row either side of it
+    cells += _random_doubles(rng, (2 * _PIECE + 1) * width - len(cells))
     cols = [cells[j::width] for j in range(width)]
     # "%" in the column names and the metadata must come out literally
     names = tuple(f"c{j}%s" for j in range(width))
     md = {"grid_n": 7, "extra_metadata": (("metric", "100%d"),)}
-    for n in (len(cols[0]), 1, 0):
+    for n in (n_first, 1, 0, _PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 1):
         arrays = ResultTable(names, tuple(np.array(c[:n], dtype=np.float64) for c in cols), **md)
         tuples = ResultTable(names, tuple(tuple(c[:n]) for c in cols), **md)
         for fmt in ("csv", "json"):
@@ -148,10 +162,14 @@ def test_csv_header_text_is_checked_like_a_cell(bad):
         ResultTable(columns=(bad,), cells=(np.array([1.0]),)),
         ResultTable.from_rows(columns=("a",), rows=((1.0,),), extra_metadata=(("metric", bad),)),
         ResultTable.from_rows(columns=("a",), rows=((1.0,),), extra_metadata=((bad, "x"),)),
+        ResultTable.from_rows(columns=("a",), rows=((1.0,),) * _PIECE + ((bad,),)),
     )
     for t in tables:
         with pytest.raises(ValueError, match="would corrupt the CSV layout"):
             to_csv(t)
+        # before the first piece is taken, so nothing of it is written
+        with pytest.raises(ValueError, match="would corrupt the CSV layout"):
+            render_pieces(t, "csv")
         # JSON escapes the same text
         assert from_json(to_json(t)) == t
 
