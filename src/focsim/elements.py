@@ -3,8 +3,8 @@
 The sensor is a single-ended loop: polarizer, 45 degree splice, quarter-wave
 plate, sensing coil, mirror, then the same elements in reverse. All element
 constructors return plain Jones matrices; the chain assembly lives in
-roundtrip_fields, which evaluates a coil at many Faraday angles as one
-stacked product (roundtrip_field is its single-angle case).
+roundtrip_fields, which evaluates a converter pair at many Faraday angles as
+one stacked product (a single angle f is roundtrip_fields(pair, (f,))[0]).
 
 Two conventions matter and are easy to get wrong:
 
@@ -31,13 +31,7 @@ import numpy.typing as npt
 
 from .constants import constant
 from .errors import FringeNullError, NumericDomainError, RetardationSingularityError
-from .jones import (
-    IDENTITY,
-    JonesMatrix,
-    JonesVector,
-    jones_vector,
-    rotator,
-)
+from .jones import IDENTITY, JonesMatrix, rotator
 
 SQRT_HALF = math.sqrt(0.5)
 FRINGE_FLOOR = 1e-15  # ideal intensity below this is a fringe null
@@ -227,18 +221,6 @@ class IntensityResult:
     relative_error_pct: float | npt.NDArray[np.float64]
 
 
-@dataclass(frozen=True)
-class FocsScenario:
-    """One round trip: coil state plus the (forward, return) converter pair.
-
-    converter None means the ideal printed pair. A front end's pair, for
-    every kind of converter, comes from FrontEnd.converter_pair().
-    """
-
-    coil: FaradayCoil
-    converter: tuple[JonesMatrix, JonesMatrix] | None = None
-
-
 def _rotator_stack(angles_rad: Sequence[float]) -> npt.NDArray[np.complex128]:
     """(n, 2, 2) stack of rotator(a) for every angle a.
 
@@ -262,33 +244,20 @@ def roundtrip_fields(
     Only the coil rotation depends on F, so the whole chain is one stacked
     product evaluated in the same left-to-right order as a single pass.
     A converter pair stacked as (P, 1, 2, 2) gives fields (P, n, 2), each
-    slice equal to that converter's own call. The chain starts with a
-    polarizer, so the launch field is the unit field it passes, (1, 0).
+    slice equal to that converter's own call. The inbound polarizer passes
+    the unit launch field (1, 0) unchanged, so the detector field is the
+    first column of the rest of the chain.
     """
     q_in, q_out = converter
     r = _rotator_stack(f_rad)
-    pol = polarizer()
-    chain = (
-        pol
-        @ splice45_out()
-        @ q_out
-        @ r   # non-reciprocal: same sense as the inbound pass
-        @ mirror()
-        @ r
-        @ q_in
-        @ splice45_in()
-        @ pol
-    )
-    return chain @ jones_vector(1.0, 0.0)
+    # no mirror factor: it is the identity in this lab-frame convention, and
+    # the non-reciprocal return rotation has the same sense as the inbound one
+    chain = polarizer() @ splice45_out() @ q_out @ r @ r @ q_in @ splice45_in()
+    return chain[..., 0]
 
 
 def _ideal_pair() -> tuple[JonesMatrix, JonesMatrix]:
     return qwp_ideal_in(), qwp_ideal_out()
-
-
-def roundtrip_field(s: FocsScenario) -> JonesVector:
-    """Field at the detector after the full reflective pass."""
-    return roundtrip_fields(s.converter or _ideal_pair(), (s.coil.rotation_angle_f_rad,))[0]
 
 
 def ideal_intensity(f_rad: float) -> float:
@@ -303,18 +272,22 @@ def _intensities(fields: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
     return np.array([abs(ex) ** 2 + abs(ey) ** 2 for ex, ey in flat]).reshape(fields.shape[:-1])
 
 
-def detected_intensity(s: FocsScenario) -> IntensityResult:
+def detected_intensity(
+    coil: FaradayCoil, converter: tuple[JonesMatrix, JonesMatrix] | None = None
+) -> IntensityResult:
     """Detected intensity and its relative error against the numeric ideal chain.
 
-    A single rotation angle at a fringe null raises FringeNullError. For a
-    swept coil every field of the result is an array over the angles, and
-    fringe-null rows hold NaN in i_out and relative_error_pct instead. A
-    converter pair stacked as (P, 1, 2, 2) needs a swept coil and gives
-    (P, n) arrays of those two against one evaluation of the ideal chain.
+    converter is a (forward, return) pair, as FrontEnd.converter_pair()
+    gives; None means the ideal printed pair. A single rotation angle at a
+    fringe null raises FringeNullError. For a swept coil every field of the
+    result is an array over the angles, and fringe-null rows hold NaN in
+    i_out and relative_error_pct instead. A converter pair stacked as
+    (P, 1, 2, 2) needs a swept coil and gives (P, n) arrays of those two
+    against one evaluation of the ideal chain.
     """
-    f = s.coil.rotation_angle_f_rad
+    f = coil.rotation_angle_f_rad
     swept = np.ndim(f) == 1
-    converter = s.converter or _ideal_pair()
+    converter = converter or _ideal_pair()
     if not swept and np.ndim(converter[0]) > 2:
         raise ValueError("a stacked converter pair needs a swept coil")
     angles = f if swept else (f,)

@@ -22,7 +22,6 @@ import numpy.typing as npt
 from .constants import constant
 from .elements import (
     FaradayCoil,
-    FocsScenario,
     ImperfectWaveplate,
     detected_intensity,
     mount_at_45deg,
@@ -170,7 +169,7 @@ def run_current_sweep(spec: CurrentSweepSpec) -> SweepResult:
     currents = np.asarray(spec.currents_a, dtype=np.float64)
     coil = _swept_coil(spec.verdet_rad_per_amp_turn, spec.turns, currents)
     f = coil.rotation_angle_f_rad
-    r = detected_intensity(FocsScenario(coil, spec.front_end.converter_pair()))
+    r = detected_intensity(coil, spec.front_end.converter_pair())
     err = r.relative_error_pct
     ok = ~np.isnan(err)
     i_ideal = r.i_ideal
@@ -222,7 +221,7 @@ def run_imperfection_scan(
     coil = _swept_coil(
         float(constant("verdet_rad_per_amp_turn")), int(constant("coil_turns")), currents_a
     )
-    err = detected_intensity(FocsScenario(coil, (fwd, ret))).relative_error_pct
+    err = detected_intensity(coil, (fwd, ret)).relative_error_pct
     ok = ~np.isnan(err).any(axis=0)  # fringe-null columns are NaN for every plate
     worst = np.max(np.abs(err[:, ok]), axis=1) if ok.any() else np.full(len(combos), np.nan)
     cells = tuple(ImperfectionCell(d, b, e) for (d, b), e in zip(combos, worst.tolist()))

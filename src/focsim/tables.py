@@ -218,14 +218,6 @@ def render(table: ResultTable, fmt: str) -> str:
     return "".join(render_pieces(table, fmt))
 
 
-def to_csv(table: ResultTable) -> str:
-    return "".join(_csv_pieces(table))
-
-
-def to_json(table: ResultTable) -> str:
-    return "".join(_json_pieces(table))
-
-
 def from_json(text: str) -> ResultTable:
     obj = json.loads(text)
     md = obj["metadata"]

@@ -404,6 +404,35 @@ def test_failed_allocation_exits_3_without_a_traceback(capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+def _refuses_huge_allocations() -> bool:
+    # Linux heuristic (0) or strict (2) overcommit refuses a single request
+    # beyond RAM plus swap at once; elsewhere it may be granted and filled
+    try:
+        return pathlib.Path("/proc/sys/vm/overcommit_memory").read_text().strip() in ("0", "2")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _refuses_huge_allocations(), reason="needs Linux overcommit mode 0 or 2")
+def test_huge_counts_exit_3_through_the_real_allocation():
+    # 10^12 float64 samples is 7.28 TiB: the first allocation fails, no mock
+    cases = (
+        ("trajectory", "--segments", "1000000000000", "--stride", "1"),
+        ("sweep-current", "--points", "1000000000000"),
+    )
+    for args in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "focsim.cli", *args],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("focsim: out of memory:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_unwritable_output_exits_4(tmp_path):
     proc = run_cli(
         "simulate", "--out", str(tmp_path / "no-such-dir" / "x.csv"), check=False

@@ -89,18 +89,15 @@ def test_coil_construction():
 
 def test_ideal_roundtrip_closed_form():
     for f in (0.0, 0.1, 0.35, 0.71, 1.2):
-        s = fs.FocsScenario(coil=fs.FaradayCoil(rotation_angle_f_rad=f))
-        got = fs.intensity(fs.roundtrip_field(s))
+        got = fs.intensity(roundtrip_fields((fs.qwp_ideal_in(), fs.qwp_ideal_out()), (f,))[0])
         assert got == pytest.approx(fs.ideal_intensity(f), abs=1e-12)
 
 
 def test_detected_intensity_frozen_example():
     w = fs.ImperfectWaveplate(math.pi / 2, math.radians(1))
-    s = fs.FocsScenario(
-        coil=fs.FaradayCoil(rotation_angle_f_rad=0.1),
-        converter=fs.front_end_imperfect(w).converter_pair(),
+    r = fs.detected_intensity(
+        fs.FaradayCoil(rotation_angle_f_rad=0.1), fs.front_end_imperfect(w).converter_pair()
     )
-    r = fs.detected_intensity(s)
     assert r.i_out == pytest.approx(_frozen.DETECTED_EXAMPLE["i_out"], rel=1e-12)
     assert r.i_ideal == pytest.approx(_frozen.DETECTED_EXAMPLE["i_ideal"], rel=1e-12)
     assert r.relative_error_pct == pytest.approx(
@@ -110,31 +107,28 @@ def test_detected_intensity_frozen_example():
 
 def test_detected_intensity_nominal_plate_error_vanishes():
     w = fs.ImperfectWaveplate.nominal()
-    s = fs.FocsScenario(
-        coil=fs.FaradayCoil(rotation_angle_f_rad=0.3),
-        converter=fs.front_end_imperfect(w).converter_pair(),
-    )
-    assert abs(fs.detected_intensity(s).relative_error_pct) < 1e-12
+    coil = fs.FaradayCoil(rotation_angle_f_rad=0.3)
+    r = fs.detected_intensity(coil, fs.front_end_imperfect(w).converter_pair())
+    assert abs(r.relative_error_pct) < 1e-12
 
 
 def test_fringe_null_raises():
-    s = fs.FocsScenario(coil=fs.FaradayCoil(rotation_angle_f_rad=math.pi / 4))
     with pytest.raises(FringeNullError):
-        fs.detected_intensity(s)
+        fs.detected_intensity(fs.FaradayCoil(rotation_angle_f_rad=math.pi / 4))
 
 
 def test_swept_coil_matches_single_angles():
     pair = fs.front_end_imperfect(fs.ImperfectWaveplate(1.45, 0.02)).converter_pair()
     f = np.array([0.0, 0.1, math.pi / 4, 0.6, 1.2])
-    r = fs.detected_intensity(fs.FocsScenario(coil=fs.FaradayCoil(f), converter=pair))
+    r = fs.detected_intensity(fs.FaradayCoil(f), pair)
     for k, fk in enumerate(f):
-        s = fs.FocsScenario(coil=fs.FaradayCoil(float(fk)), converter=pair)
+        coil = fs.FaradayCoil(float(fk))
         if k == 2:
             with pytest.raises(FringeNullError):
-                fs.detected_intensity(s)
+                fs.detected_intensity(coil, pair)
             assert math.isnan(r.i_out[k]) and math.isnan(r.relative_error_pct[k])
             continue
-        one = fs.detected_intensity(s)
+        one = fs.detected_intensity(coil, pair)
         assert isinstance(one.i_out, float) and isinstance(one.relative_error_pct, float)
         assert (r.i_out[k], r.i_ideal[k], r.relative_error_pct[k]) == (
             one.i_out, one.i_ideal, one.relative_error_pct
@@ -144,25 +138,23 @@ def test_swept_coil_matches_single_angles():
               fs.ImperfectWaveplate(2.0, -0.3)]
     pairs = [fs.front_end_imperfect(w).converter_pair() for w in plates]
     stacked = tuple(np.stack(m)[:, np.newaxis] for m in zip(*pairs))
-    rs = fs.detected_intensity(fs.FocsScenario(coil=fs.FaradayCoil(f), converter=stacked))
+    rs = fs.detected_intensity(fs.FaradayCoil(f), stacked)
     assert rs.i_out.shape == rs.relative_error_pct.shape == (3, len(f))
     for p, pair in enumerate(pairs):
-        one = fs.detected_intensity(fs.FocsScenario(coil=fs.FaradayCoil(f), converter=pair))
+        one = fs.detected_intensity(fs.FaradayCoil(f), pair)
         assert np.array_equal(rs.i_out[p], one.i_out, equal_nan=True)
         assert np.array_equal(rs.i_ideal, one.i_ideal)
         assert np.array_equal(rs.relative_error_pct[p], one.relative_error_pct, equal_nan=True)
         assert np.array_equal(roundtrip_fields(stacked, f)[p], roundtrip_fields(pair, f))
     # a single angle has no stacked form: it must not come back as plate 0's float
     with pytest.raises(ValueError, match="swept coil"):
-        fs.detected_intensity(fs.FocsScenario(coil=fs.FaradayCoil(0.1), converter=stacked))
+        fs.detected_intensity(fs.FaradayCoil(0.1), stacked)
 
 
 def test_scenario_converter_used():
     coil = fs.FaradayCoil(rotation_angle_f_rad=0.2)
     pair = (fs.qwp_ideal_in(), fs.qwp_ideal_out())
-    s = fs.FocsScenario(coil=coil, converter=pair)
-    assert fs.detected_intensity(s).relative_error_pct == 0.0
-    hash(fs.FocsScenario(coil))  # the default scenario stays hashable
+    assert fs.detected_intensity(coil, pair).relative_error_pct == 0.0
+    assert fs.detected_intensity(coil) == fs.detected_intensity(coil, pair)  # None is this pair
     fwd = fs.mount_at_45deg(fs.qwp_imperfect(fs.ImperfectWaveplate(1.45, 0.02)))
-    s = fs.FocsScenario(coil=coil, converter=(fwd, np.conj(fwd)))
-    assert fs.detected_intensity(s).relative_error_pct != 0.0
+    assert fs.detected_intensity(coil, (fwd, np.conj(fwd))).relative_error_pct != 0.0

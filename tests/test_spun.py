@@ -321,6 +321,52 @@ def test_midpoint_rule_refines_at_second_order():
     )
 
 
+def _uniform_spun_closed_form(delta: float, xi: float, length: float) -> np.ndarray:
+    """Continuum Jones matrix of a uniformly spun retarder (Laming & Payne,
+    J. Lightwave Technol. 7, 1989), in spun's conventions: the local
+    retarder is diag(e^{+i delta dz/2}, e^{-i delta dz/2}) and theta(0) = 0.
+
+    J(L) = R(xi L) [cos(Omega L) I + i sin(Omega L)/Omega (delta/2 s_z + xi s_y)],
+    Omega = sqrt(delta^2/4 + xi^2). Every matrix is typed in here.
+    """
+    omega = math.sqrt(delta * delta / 4.0 + xi * xi)
+    sigma_z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+    sigma_y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+    c, s = math.cos(xi * length), math.sin(xi * length)
+    rot = np.array([[c, -s], [s, c]], dtype=np.complex128)
+    body = math.cos(omega * length) * np.eye(2) + 1j * math.sin(omega * length) / omega * (
+        0.5 * delta * sigma_z + xi * sigma_y
+    )
+    return rot @ body
+
+
+def _deviation(med, n: int, want: np.ndarray) -> float:
+    return float(np.max(np.abs(total_matrix(med, grid_for(med, n)) - want)))
+
+
+def test_uniform_spin_converges_to_the_closed_form():
+    """The left-endpoint product approaches the continuum matrix at first
+    order: doubling N halves its deviation, on the default spun device and
+    on seeded uniformly spun media."""
+    med = fs.default_spun_front_end().medium
+    assert med.profile.kind == "constant"
+    want = _uniform_spun_closed_form(
+        med.delta_rad_per_m, med.profile.xi_max_rad_per_m, med.total_length_m
+    )
+    dev = _deviation(med, 200_000, want)
+    assert 4.10e-5 <= dev <= 4.25e-5
+    assert 1.95 <= dev / _deviation(med, 400_000, want) <= 2.05
+
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        delta, xi, length = rng.uniform(10, 500), rng.uniform(-300, 300), rng.uniform(0.01, 0.3)
+        med = fs.SpunMediumSpec(length, delta, fs.SpinProfile("constant", xi))
+        want = _uniform_spun_closed_form(delta, xi, length)
+        # 2^14 is the smallest N at which every one of these media holds the ratio
+        ratio = _deviation(med, 1 << 14, want) / _deviation(med, 1 << 15, want)
+        assert 1.9 <= ratio <= 2.1, (delta, xi, length)
+
+
 # ---- trajectories and stability metrics ----
 
 

@@ -17,8 +17,6 @@ from focsim.tables import (
     from_json,
     render,
     render_pieces,
-    to_csv,
-    to_json,
 )
 
 
@@ -81,8 +79,8 @@ def _dumps_json(t: ResultTable) -> str:
 
 
 def _assert_reference_renderings(t: ResultTable) -> None:
-    assert to_csv(t) == _per_cell_csv(t)
-    assert to_json(t) == _dumps_json(t)
+    assert render(t, "csv") == _per_cell_csv(t)
+    assert render(t, "json") == _dumps_json(t)
 
 
 def _random_doubles(rng: random.Random, n: int) -> list[float]:
@@ -136,8 +134,8 @@ def test_mixed_csv_matches_the_per_cell_rendering(odd):
     _assert_reference_renderings(t)
     a, b, c = t.cells
     with_arrays = ResultTable(t.columns, (np.array(a), b, np.array(c)), **md)
-    assert to_csv(with_arrays) == to_csv(t)
-    assert to_json(with_arrays) == to_json(t)
+    assert render(with_arrays, "csv") == render(t, "csv")
+    assert render(with_arrays, "json") == render(t, "json")
     _assert_reference_renderings(ResultTable.from_rows(columns=("b",), rows=((odd,),)))
 
 
@@ -146,12 +144,12 @@ def test_csv_cell_forms():
         columns=("f", "i", "s", "b", "n"),
         rows=((0.1, 7, "linear", True, None), (-2.5e-17, 0, "x", False, None)),
     )
-    body = to_csv(t).splitlines()
+    body = render(t, "csv").splitlines()
     assert body[1] == "f,i,s,b,n"
     assert body[2] == "0.10000000000000001,7,linear,true,"
     assert body[3] == "-2.4999999999999999e-17,0,x,false,"
     with pytest.raises(ValueError):
-        to_csv(ResultTable.from_rows(columns=("s",), rows=(("a,b",),)))
+        render(ResultTable.from_rows(columns=("s",), rows=(("a,b",),)), "csv")
 
 
 @pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb"], ids=repr)
@@ -166,12 +164,12 @@ def test_csv_header_text_is_checked_like_a_cell(bad):
     )
     for t in tables:
         with pytest.raises(ValueError, match="would corrupt the CSV layout"):
-            to_csv(t)
+            render(t, "csv")
         # before the first piece is taken, so nothing of it is written
         with pytest.raises(ValueError, match="would corrupt the CSV layout"):
             render_pieces(t, "csv")
         # JSON escapes the same text
-        assert from_json(to_json(t)) == t
+        assert from_json(render(t, "json")) == t
 
 
 def test_csv_header_carries_the_build_metadata():
@@ -181,12 +179,12 @@ def test_csv_header_carries_the_build_metadata():
         grid_n=4096,
         extra_metadata=(("metric", "principal"),),
     )
-    head = to_csv(t).splitlines()[0]
+    head = render(t, "csv").splitlines()[0]
     assert head == (
         f"# schema={SCHEMA_VERSION}, constants={constants_fingerprint()},"
         " grid_n=4096, metric=principal"
     )
-    bare = to_csv(ResultTable.from_rows(columns=("a",), rows=())).splitlines()[0]
+    bare = render(ResultTable.from_rows(columns=("a",), rows=()), "csv").splitlines()[0]
     assert "grid_n" not in bare
 
 
@@ -197,11 +195,11 @@ def test_json_replaces_nan_and_round_trips():
         grid_n=16,
         extra_metadata=(("metric", "axis_ratio"),),
     )
-    obj = json.loads(to_json(t))
+    obj = json.loads(render(t, "json"))
     assert obj["rows"][0][1] is None
     assert obj["metadata"]["constants_fingerprint"] == constants_fingerprint()
     assert obj["metadata"]["grid_n"] == 16
-    back = from_json(to_json(t))
+    back = from_json(render(t, "json"))
     assert back.columns == t.columns
     assert back.grid_n == 16
     assert back.extra_metadata == t.extra_metadata
@@ -211,8 +209,8 @@ def test_json_replaces_nan_and_round_trips():
 
 def test_render_dispatch():
     t = ResultTable.from_rows(columns=("a",), rows=((1,),))
-    assert render(t, "csv") == to_csv(t)
-    assert render(t, "json") == to_json(t)
+    assert render(t, "csv") == _per_cell_csv(t)
+    assert render(t, "json") == _dumps_json(t)
     with pytest.raises(ValueError):
         render(t, "yaml")
 
