@@ -4,12 +4,13 @@ Each entry carries an origin tag. "given" marks externally fixed design
 values, "assumed" marks gaps this implementation had to fill, "measured"
 marks constants calibrated by a one-time refinement study on the default
 medium, and "derived" marks values computed from other entries. Every
-physical and device value lives here, and config is the one module that
-turns the device, medium, coil and sweep values into objects, for the CLI
-and the library's default_* builders alike. The CLI's run-size defaults
-(the simulated current, the trajectory stride and metric, the xi-sweep
-ratios and profiles, the convergence ladder and its reference grid) are set
-in config.default_config(), and numeric thresholds such as
+physical and device value lives here. config turns the device, medium,
+coil and sweep values into objects, for the CLI and the library's default_*
+builders alike; experiments.run_imperfection_scan alone builds its coil and
+its default current grid from these values directly. The CLI's run-size
+defaults (the simulated current, the trajectory stride and metric, the
+xi-sweep ratios and profiles, the convergence ladder and its reference
+grid) are set in config.default_config(), and numeric thresholds such as
 elements.FRINGE_FLOOR sit beside the code that applies them. All tables
 and reports embed a fingerprint of this block so a quoted number can
 always be traced to the assumptions that produced it.

@@ -5,6 +5,8 @@ plate, sensing coil, mirror, then the same elements in reverse. All element
 constructors return plain Jones matrices; the chain assembly lives in
 roundtrip_fields, which evaluates a converter pair at many Faraday angles as
 one stacked product (a single angle f is roundtrip_fields(pair, (f,))[0]).
+The coil is always swept over a current grid (FaradayCoil.from_currents), so
+detected_intensity has one path: arrays over the angles, NaN on fringe nulls.
 
 Two conventions matter and are easy to get wrong:
 
@@ -30,7 +32,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .constants import constant
-from .errors import FringeNullError, NumericDomainError, RetardationSingularityError
+from .errors import NumericDomainError, RetardationSingularityError
 from .jones import IDENTITY, JonesMatrix, rotator
 
 SQRT_HALF = math.sqrt(0.5)
@@ -87,6 +89,9 @@ class ImperfectWaveplate:
     wavelength_m: float | None = None
 
     def __post_init__(self):
+        # finite plate keys can still overflow the retardation or 2 beta
+        if not (math.isfinite(self.rho_rad) and math.isfinite(2 * self.beta_rad)):
+            raise NumericDomainError("plate retardation or splice angle is not finite")
         if None not in (self.delta_n, self.cut_length_m, self.wavelength_m):
             implied = 2 * math.pi * self.delta_n * self.cut_length_m / self.wavelength_m
             if abs(implied - self.rho_rad) > 1e-12 * max(1.0, abs(self.rho_rad)):
@@ -177,48 +182,35 @@ def mount_at_45deg(element: JonesMatrix) -> JonesMatrix:
 
 @dataclass(frozen=True)
 class FaradayCoil:
-    """Sensing coil. Either give the rotation directly or the full triple.
+    """Sensing coil swept over currents: a 1-D array of Faraday angles, one
+    per current (a single current is a one-element sweep)."""
 
-    The rotation may also be a 1-D array of angles, the coil swept over a
-    current grid; detected_intensity then evaluates every angle at once.
-    """
-
-    rotation_angle_f_rad: float | npt.NDArray[np.float64]
-    verdet_rad_per_amp_turn: float | None = None
-    turns: int | None = None
-    current_a: float | None = None
+    rotation_angle_f_rad: npt.NDArray[np.float64]
 
     def __post_init__(self):
+        if np.ndim(self.rotation_angle_f_rad) != 1:
+            raise ValueError("Faraday rotation must be a 1-D array of angles")
         # finite coil keys can still overflow verdet*turns*current
         if not np.isfinite(self.rotation_angle_f_rad).all():
             raise NumericDomainError("Faraday rotation is not finite")
-        if None not in (self.verdet_rad_per_amp_turn, self.turns, self.current_a):
-            implied = self.verdet_rad_per_amp_turn * self.turns * self.current_a
-            if abs(implied - self.rotation_angle_f_rad) > 1e-12 * max(
-                1.0, abs(self.rotation_angle_f_rad)
-            ):
-                raise ValueError("rotation angle disagrees with verdet*turns*current")
 
     @classmethod
-    def from_current(
-        cls, verdet_rad_per_amp_turn: float, turns: int, current_a: float
-    ) -> "FaradayCoil":
-        return cls(
-            verdet_rad_per_amp_turn * turns * current_a,
-            verdet_rad_per_amp_turn,
-            turns,
-            current_a,
-        )
+    def from_currents(cls, verdet_rad_per_amp_turn: float, turns: int, currents) -> "FaradayCoil":
+        """The coil swept over a current grid, F = V N I at every current."""
+        # an overflowed V*N times a 0 A current is nan; FaradayCoil reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = verdet_rad_per_amp_turn * turns * np.asarray(currents, dtype=np.float64)
+        return cls(f)
 
 
 @dataclass(frozen=True)
 class IntensityResult:
-    """Floats for a single rotation angle, arrays for a swept coil; behind P
-    stacked converters i_out and relative_error_pct are (P, n), i_ideal (n,)."""
+    """Arrays over the coil's angles; behind P stacked converters i_out and
+    relative_error_pct are (P, n), i_ideal (n,)."""
 
-    i_out: float | npt.NDArray[np.float64]
-    i_ideal: float | npt.NDArray[np.float64]
-    relative_error_pct: float | npt.NDArray[np.float64]
+    i_out: npt.NDArray[np.float64]
+    i_ideal: npt.NDArray[np.float64]
+    relative_error_pct: npt.NDArray[np.float64]
 
 
 def _rotator_stack(angles_rad: Sequence[float]) -> npt.NDArray[np.complex128]:
@@ -278,29 +270,17 @@ def detected_intensity(
     """Detected intensity and its relative error against the numeric ideal chain.
 
     converter is a (forward, return) pair, as FrontEnd.converter_pair()
-    gives; None means the ideal printed pair. A single rotation angle at a
-    fringe null raises FringeNullError. For a swept coil every field of the
-    result is an array over the angles, and fringe-null rows hold NaN in
-    i_out and relative_error_pct instead. A converter pair stacked as
-    (P, 1, 2, 2) needs a swept coil and gives (P, n) arrays of those two
-    against one evaluation of the ideal chain.
+    gives; None means the ideal printed pair. Every field of the result is
+    an array over the coil's angles, and fringe-null rows hold NaN in i_out
+    and relative_error_pct. A converter pair stacked as (P, 1, 2, 2) gives
+    (P, n) arrays of those two against one evaluation of the ideal chain.
     """
     f = coil.rotation_angle_f_rad
-    swept = np.ndim(f) == 1
-    converter = converter or _ideal_pair()
-    if not swept and np.ndim(converter[0]) > 2:
-        raise ValueError("a stacked converter pair needs a swept coil")
-    angles = f if swept else (f,)
-    i_out = _intensities(roundtrip_fields(converter, angles))
-    i_ideal = _intensities(roundtrip_fields(_ideal_pair(), angles))
+    i_out = _intensities(roundtrip_fields(converter or _ideal_pair(), f))
+    i_ideal = _intensities(roundtrip_fields(_ideal_pair(), f))
     null = i_ideal < FRINGE_FLOOR
-    if not swept:
-        if null[0]:
-            raise FringeNullError(f"ideal fringe vanishes at F={f!r} rad")
-        i_out, i_ideal = float(i_out[0]), float(i_ideal[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         err = (i_out - i_ideal) / i_ideal * 100.0
-    if swept:
-        i_out[..., null] = np.nan
-        err[..., null] = np.nan
+    i_out[..., null] = np.nan
+    err[..., null] = np.nan
     return IntensityResult(i_out=i_out, i_ideal=i_ideal, relative_error_pct=err)

@@ -157,17 +157,9 @@ class SweepResult:
     n_fringe_null: int
 
 
-def _swept_coil(verdet_rad_per_amp_turn: float, turns: int, currents) -> FaradayCoil:
-    """The coil swept over a current grid, F = V N I at every current."""
-    # an overflowed V*N times a 0 A current is nan; FaradayCoil reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = verdet_rad_per_amp_turn * turns * np.asarray(currents, dtype=np.float64)
-    return FaradayCoil(f)
-
-
 def run_current_sweep(spec: CurrentSweepSpec) -> SweepResult:
     currents = np.asarray(spec.currents_a, dtype=np.float64)
-    coil = _swept_coil(spec.verdet_rad_per_amp_turn, spec.turns, currents)
+    coil = FaradayCoil.from_currents(spec.verdet_rad_per_amp_turn, spec.turns, currents)
     f = coil.rotation_angle_f_rad
     r = detected_intensity(coil, spec.front_end.converter_pair())
     err = r.relative_error_pct
@@ -218,7 +210,7 @@ def run_imperfection_scan(
         for d, b in combos
     ]
     fwd, ret = (np.stack(m)[:, np.newaxis] for m in zip(*pairs))
-    coil = _swept_coil(
+    coil = FaradayCoil.from_currents(
         float(constant("verdet_rad_per_amp_turn")), int(constant("coil_turns")), currents_a
     )
     err = detected_intensity(coil, (fwd, ret)).relative_error_pct
@@ -376,6 +368,12 @@ class ConvergenceResult:
     reference_n: int
 
     def ratios(self) -> tuple[float, ...]:
+        """Each rung's deviation over the next one's."""
+        for r in self.rows[1:]:
+            if r.max_abs_dev == 0.0:
+                raise NumericDomainError(
+                    f"convergence ratio undefined: zero deviation at n_segments={r.n_segments}"
+                )
         devs = [r.max_abs_dev for r in self.rows]
         return tuple(a / b for a, b in zip(devs, devs[1:]))
 

@@ -169,11 +169,16 @@ def test_trajectory_rows_match_the_library_scan(capsys):
 
 def test_overflowing_finite_configs_exit_3(tmp_path):
     # every key passes its own check, but the model overflows: the Faraday
-    # angle verdet*turns*current, or the spin angle theta(z)
+    # angle verdet*turns*current, the spin angle theta(z), or a plate's
+    # retardation or doubled splice angle
     cases = {
         "verdet.json": ({"coil": {"verdet_rad_per_amp_turn": 1e308}}, ("simulate", "sweep-current")),
         "xi.json": ({"medium": {"profile": {"xi_over_delta": 1e308}}}, ("trajectory", "converge")),
     }
+    for key in ("cut_deviation_m", "splice_angle_rad"):
+        for value in (1e308, -1e308):
+            plate = {"front_end": {"kind": "imperfect_qwp", key: value}}
+            cases[f"{key}{value:+g}.json"] = (plate, ("simulate", "sweep-current"))
     for name, (doc, commands) in cases.items():
         p = tmp_path / name
         p.write_text(json.dumps(doc))
@@ -184,6 +189,7 @@ def test_overflowing_finite_configs_exit_3(tmp_path):
             assert "Traceback" not in proc.stderr, (name, command, proc.stderr)
             assert "RuntimeWarning" not in proc.stderr, (name, command, proc.stderr)
             assert proc.stdout == "", (name, command)
+            assert len(proc.stderr.splitlines()) == 1, (name, command, proc.stderr)
 
 
 def test_converge_emits_ratio_column():
@@ -195,6 +201,23 @@ def test_converge_emits_ratio_column():
     assert first[0] == "256" and last[0] == "512"
     assert float(first[2]) > 0.0
     assert last[2] == ""  # no ratio below the last rung
+
+
+def test_converge_with_zero_deviation_exits_3(tmp_path):
+    # a beat length this long gives the same total matrix on every grid:
+    # every rung's deviation is exactly zero and no ratio exists
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps({"medium": {"beat_length_m": 1e200}}))
+    proc = run_cli(
+        "converge", "--counts", "256,512", "--reference-n", "4096", "--config", str(p),
+        check=False,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        "focsim: numeric domain error: convergence ratio undefined: "
+        "zero deviation at n_segments=512\n"
+    )
+    assert proc.stdout == ""
 
 
 def run_main(capsys, *args):
@@ -259,7 +282,7 @@ def test_bad_config_exits_2_with_the_key_path(tmp_path, capsys):
 
 
 # every value a single key is set to in turn
-_MUTANTS = (math.nan, math.inf, -math.inf, 0, -1, True, "x", None, [], {})
+_MUTANTS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 0, -1, True, "x", None, [], {})
 
 # the subcommands that read each section, besides print-config, which reads
 # them all (schema_version and the constants block only reach print-config:

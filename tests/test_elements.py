@@ -5,7 +5,7 @@ import pytest
 
 import focsim as fs
 from focsim.elements import roundtrip_fields
-from focsim.errors import FringeNullError, RetardationSingularityError
+from focsim.errors import RetardationSingularityError
 
 import _frozen
 
@@ -74,17 +74,12 @@ def test_waveplate_from_cut_deviation():
 
 
 def test_coil_construction():
-    coil = fs.FaradayCoil.from_current(
-        verdet_rad_per_amp_turn=1e-6, turns=355, current_a=2000.0
-    )
-    assert coil.rotation_angle_f_rad == pytest.approx(_frozen.F_AT_2000A, rel=1e-12)
-    with pytest.raises(ValueError):
-        fs.FaradayCoil(
-            rotation_angle_f_rad=0.5,
-            verdet_rad_per_amp_turn=1e-6,
-            turns=355,
-            current_a=2000.0,
-        )
+    coil = fs.FaradayCoil.from_currents(1e-6, 355, (2000.0,))
+    assert coil.rotation_angle_f_rad[0] == pytest.approx(_frozen.F_AT_2000A, rel=1e-12)
+    # the coil is always swept: a bare angle is not a coil
+    for f in (0.5, np.array(0.5), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="1-D"):
+            fs.FaradayCoil(f)
 
 
 def test_ideal_roundtrip_closed_form():
@@ -96,25 +91,26 @@ def test_ideal_roundtrip_closed_form():
 def test_detected_intensity_frozen_example():
     w = fs.ImperfectWaveplate(math.pi / 2, math.radians(1))
     r = fs.detected_intensity(
-        fs.FaradayCoil(rotation_angle_f_rad=0.1), fs.front_end_imperfect(w).converter_pair()
+        fs.FaradayCoil(np.array([0.1])), fs.front_end_imperfect(w).converter_pair()
     )
-    assert r.i_out == pytest.approx(_frozen.DETECTED_EXAMPLE["i_out"], rel=1e-12)
-    assert r.i_ideal == pytest.approx(_frozen.DETECTED_EXAMPLE["i_ideal"], rel=1e-12)
-    assert r.relative_error_pct == pytest.approx(
+    assert r.i_out[0] == pytest.approx(_frozen.DETECTED_EXAMPLE["i_out"], rel=1e-12)
+    assert r.i_ideal[0] == pytest.approx(_frozen.DETECTED_EXAMPLE["i_ideal"], rel=1e-12)
+    assert r.relative_error_pct[0] == pytest.approx(
         _frozen.DETECTED_EXAMPLE["err_pct"], abs=1e-9
     )
 
 
 def test_detected_intensity_nominal_plate_error_vanishes():
     w = fs.ImperfectWaveplate.nominal()
-    coil = fs.FaradayCoil(rotation_angle_f_rad=0.3)
+    coil = fs.FaradayCoil(np.array([0.3]))
     r = fs.detected_intensity(coil, fs.front_end_imperfect(w).converter_pair())
-    assert abs(r.relative_error_pct) < 1e-12
+    assert abs(r.relative_error_pct[0]) < 1e-12
 
 
-def test_fringe_null_raises():
-    with pytest.raises(FringeNullError):
-        fs.detected_intensity(fs.FaradayCoil(rotation_angle_f_rad=math.pi / 4))
+def test_fringe_null_row_is_nan():
+    r = fs.detected_intensity(fs.FaradayCoil(np.array([math.pi / 4])))
+    assert math.isnan(r.i_out[0]) and math.isnan(r.relative_error_pct[0])
+    assert r.i_ideal[0] < 1e-15
 
 
 def test_swept_coil_matches_single_angles():
@@ -122,17 +118,11 @@ def test_swept_coil_matches_single_angles():
     f = np.array([0.0, 0.1, math.pi / 4, 0.6, 1.2])
     r = fs.detected_intensity(fs.FaradayCoil(f), pair)
     for k, fk in enumerate(f):
-        coil = fs.FaradayCoil(float(fk))
-        if k == 2:
-            with pytest.raises(FringeNullError):
-                fs.detected_intensity(coil, pair)
-            assert math.isnan(r.i_out[k]) and math.isnan(r.relative_error_pct[k])
-            continue
-        one = fs.detected_intensity(coil, pair)
-        assert isinstance(one.i_out, float) and isinstance(one.relative_error_pct, float)
-        assert (r.i_out[k], r.i_ideal[k], r.relative_error_pct[k]) == (
-            one.i_out, one.i_ideal, one.relative_error_pct
-        )
+        one = fs.detected_intensity(fs.FaradayCoil(f[k : k + 1]), pair)
+        for got, want in ((r.i_out, one.i_out), (r.i_ideal, one.i_ideal),
+                          (r.relative_error_pct, one.relative_error_pct)):
+            assert np.array_equal(got[k : k + 1], want, equal_nan=True), fk
+    assert math.isnan(r.i_out[2]) and math.isnan(r.relative_error_pct[2])  # pi/4 is a null
     # P stacked converters: each (P, n) row is that converter's own swept call
     plates = [fs.ImperfectWaveplate(1.45, 0.02), fs.ImperfectWaveplate.nominal(),
               fs.ImperfectWaveplate(2.0, -0.3)]
@@ -146,15 +136,16 @@ def test_swept_coil_matches_single_angles():
         assert np.array_equal(rs.i_ideal, one.i_ideal)
         assert np.array_equal(rs.relative_error_pct[p], one.relative_error_pct, equal_nan=True)
         assert np.array_equal(roundtrip_fields(stacked, f)[p], roundtrip_fields(pair, f))
-    # a single angle has no stacked form: it must not come back as plate 0's float
-    with pytest.raises(ValueError, match="swept coil"):
-        fs.detected_intensity(fs.FaradayCoil(0.1), stacked)
 
 
 def test_scenario_converter_used():
-    coil = fs.FaradayCoil(rotation_angle_f_rad=0.2)
+    coil = fs.FaradayCoil(np.array([0.2]))
     pair = (fs.qwp_ideal_in(), fs.qwp_ideal_out())
-    assert fs.detected_intensity(coil, pair).relative_error_pct == 0.0
-    assert fs.detected_intensity(coil) == fs.detected_intensity(coil, pair)  # None is this pair
+    assert fs.detected_intensity(coil, pair).relative_error_pct[0] == 0.0
+    default, given = fs.detected_intensity(coil), fs.detected_intensity(coil, pair)
+    assert all(  # None is this pair
+        np.array_equal(getattr(default, k), getattr(given, k))
+        for k in ("i_out", "i_ideal", "relative_error_pct")
+    )
     fwd = fs.mount_at_45deg(fs.qwp_imperfect(fs.ImperfectWaveplate(1.45, 0.02)))
-    assert fs.detected_intensity(coil, (fwd, np.conj(fwd))).relative_error_pct != 0.0
+    assert fs.detected_intensity(coil, (fwd, np.conj(fwd))).relative_error_pct[0] != 0.0

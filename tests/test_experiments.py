@@ -324,6 +324,22 @@ def test_perturbation_study_rejects_a_zero_base_ripple():
         fs.run_perturbation_study(unspun, 2000)
 
 
+def test_convergence_ratios_reject_a_zero_deviation():
+    # birefringence and spin this weak give the same total matrix on every
+    # grid, so every rung's deviation is exactly zero
+    med = fs.default_demo_medium()
+    flat = fs.SpunMediumSpec(
+        med.total_length_m, 1e-199, replace(med.profile, xi_max_rad_per_m=5e-199)
+    )
+    res = fs.run_convergence_ladder(flat, (256, 512), 4096)
+    assert [r.max_abs_dev for r in res.rows] == [0.0, 0.0]
+    with pytest.raises(fs.NumericDomainError, match="zero deviation at n_segments=512"):
+        res.ratios()
+    # a zero deviation on the first rung is only ever a numerator
+    rows = (replace(res.rows[0], max_abs_dev=0.0), replace(res.rows[1], max_abs_dev=2.0))
+    assert fs.ConvergenceResult(rows, 4096).ratios() == (0.0,)
+
+
 def test_delta_scaling_laws():
     assert delta_at_wavelength(100.0, 1.0e-6, 2.0e-6) == 50.0
     k = constant("temperature_coeff_per_c")

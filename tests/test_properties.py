@@ -157,7 +157,8 @@ def test_aligned_ellipse_matches_coordinate_axis_ratio(a, t):
 
 def _plate_error_pct(rho: float, beta: float, f_rad: float) -> float:
     fwd = fs.mount_at_45deg(fs.qwp_imperfect(fs.ImperfectWaveplate(rho, beta)))
-    return fs.detected_intensity(fs.FaradayCoil(f_rad), (fwd, np.conj(fwd))).relative_error_pct
+    coil = fs.FaradayCoil(np.array([f_rad]))
+    return fs.detected_intensity(coil, (fwd, np.conj(fwd))).relative_error_pct[0]
 
 
 @given(m=lossless_elements())
