@@ -3,8 +3,9 @@
 The sensor is a single-ended loop: polarizer, 45 degree splice, quarter-wave
 plate, sensing coil, mirror, then the same elements in reverse. All element
 constructors return plain Jones matrices; the chain assembly lives in
-roundtrip_fields, which evaluates a converter pair at many Faraday angles as
-one stacked product (a single angle f is roundtrip_fields(pair, (f,))[0]).
+roundtrip_fields, which evaluates a converter pair at many Faraday angles,
+one matmul per factor shared by many of them (a single angle f is
+roundtrip_fields(pair, (f,))[0]).
 The coil is always swept over a current grid (FaradayCoil.from_currents), so
 detected_intensity has one path: arrays over the angles, NaN on fringe nulls.
 
@@ -233,19 +234,29 @@ def roundtrip_fields(
 ) -> npt.NDArray[np.complex128]:
     """Detector fields, shape (n, 2), for one converter at n Faraday angles.
 
-    Only the coil rotation depends on F, so the whole chain is one stacked
-    product evaluated in the same left-to-right order as a single pass.
-    A converter pair stacked as (P, 1, 2, 2) gives fields (P, n, 2), each
-    slice equal to that converter's own call. The inbound polarizer passes
-    the unit launch field (1, 0) unchanged, so the detector field is the
-    first column of the rest of the chain.
+    The chain polarizer @ splice45_out @ q_out @ r @ r @ q_in @ splice45_in
+    is multiplied left to right with every 2x2 product of a single pass, but
+    each factor shared by many items is applied in one matmul over those
+    items side by side. A converter pair stacked as (P, 1, 2, 2) gives
+    fields (P, n, 2), each slice equal to that converter's own call. The
+    inbound polarizer passes the unit launch field (1, 0) unchanged, so the
+    detector field is the first column of the rest of the chain.
     """
     q_in, q_out = converter
     r = _rotator_stack(f_rad)
+    n = len(r)
     # no mirror factor: it is the identity in this lab-frame convention, and
     # the non-reciprocal return rotation has the same sense as the inbound one
-    chain = polarizer() @ splice45_out() @ q_out @ r @ r @ q_in @ splice45_in()
-    return chain[..., 0]
+    a = (polarizer() @ splice45_out() @ q_out).reshape(-1, 2, 2)
+    p = len(a)
+    # a_p @ [r_1 ... r_n]: one (2, 2n) product per plate
+    m = a @ r.transpose(1, 0, 2).reshape(2, 2 * n)
+    # @ r_k: one (2P, 2) product per angle, the plates' rows stacked
+    m = m.reshape(p, 2, n, 2).transpose(2, 0, 1, 3).reshape(n, 2 * p, 2) @ r
+    # @ q_in: one (2n, 2) product per plate; @ splice45_in: one in all
+    m = m.reshape(n, p, 2, 2).swapaxes(0, 1).reshape(p, 2 * n, 2) @ np.reshape(q_in, (-1, 2, 2))
+    m = m.reshape(-1, 2) @ splice45_in()
+    return m.reshape(np.shape(q_in)[:-3] + (n, 2, 2))[..., 0]
 
 
 def _ideal_pair() -> tuple[JonesMatrix, JonesMatrix]:
@@ -258,10 +269,12 @@ def ideal_intensity(f_rad: float) -> float:
 
 
 def _intensities(fields: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
-    """jones.intensity of every field, with scalar abs: numpy's vectorized
-    complex abs may differ from it by an ulp."""
-    flat = fields.reshape(-1, 2).tolist()
-    return np.array([abs(ex) ** 2 + abs(ey) ** 2 for ex, ey in flat]).reshape(fields.shape[:-1])
+    """jones.intensity of every field. np.hypot is the libm call Python's
+    complex abs makes, so |ex| and |ey| are the scalar abs bit for bit; each
+    ** 2 stays a Python float power (libm pow), which x * x and numpy's
+    power do not match on every value."""
+    mags = np.hypot(fields.real, fields.imag).reshape(-1, 2).tolist()
+    return np.array([ax ** 2 + ay ** 2 for ax, ay in mags]).reshape(fields.shape[:-1])
 
 
 def detected_intensity(

@@ -2,9 +2,10 @@
 
 Each runner is a pure function from a frozen parameter record to an
 immutable result, evaluated serially in a fixed order. A current sweep is
-one detected_intensity call on a coil swept over all its currents, one
-stacked chain product (elements.roundtrip_fields); an imperfection scan also
-stacks its plates' converter pairs, one call over plates x currents.
+one detected_intensity call on a coil swept over all its currents
+(elements.roundtrip_fields batches the chain over them); an imperfection
+scan also stacks its plates' converter pairs, one call over plates x
+currents.
 
 The default devices, medium and sweep spec are built in config
 (config.default_high_order_front_end() and the rest), from the defaults the
@@ -202,6 +203,8 @@ def run_imperfection_scan(
     detected_intensity call over plates x currents; each cell is the max
     over the non-null currents, as run_current_sweep's max_abs_err_pct.
     """
+    if len(cut_deviations_m) == 0 or len(splice_angles_rad) == 0:
+        raise ValueError("a scan needs at least one cut deviation and one splice angle")
     if currents_a is None:
         currents_a = default_current_grid()
     combos = [(d, b) for d in cut_deviations_m for b in splice_angles_rad]

@@ -138,6 +138,45 @@ def test_swept_coil_matches_single_angles():
         assert np.array_equal(roundtrip_fields(stacked, f)[p], roundtrip_fields(pair, f))
 
 
+def _oracle_fields(q_in, q_out, f):
+    """Detector fields of one converter, one typed-in 2x2 chain per angle."""
+    pol = np.array([[1, 0], [0, 0]], dtype=np.complex128)
+    s_in = S * np.array([[1, 1], [-1, 1]], dtype=np.complex128)
+    s_out = S * np.array([[1, -1], [1, 1]], dtype=np.complex128)
+    out = []
+    for a in f:
+        r = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]], dtype=np.complex128)
+        chain = pol @ s_out
+        chain = chain @ q_out
+        chain = chain @ r
+        chain = chain @ r
+        chain = chain @ q_in
+        chain = chain @ s_in
+        out.append(chain[:, 0])
+    return np.array(out, dtype=np.complex128).reshape(len(f), 2)
+
+
+def test_stacked_fields_match_a_per_item_oracle():
+    rng = np.random.default_rng(7)
+    f201 = np.linspace(0.0, 0.7, 201)
+    f201[57] = math.pi / 4  # a fringe null
+    for p_count in (1, 3, 64):
+        plates = [fs.ImperfectWaveplate(rng.uniform(0.5, 2.6), rng.uniform(-0.4, 0.4))
+                  for _ in range(p_count - 1)] + [fs.ImperfectWaveplate.nominal()]
+        pairs = [fs.front_end_imperfect(w).converter_pair() for w in plates]
+        stacked = tuple(np.stack(m)[:, np.newaxis] for m in zip(*pairs))
+        for f in (np.array([]), np.array([math.pi / 4]), f201):
+            got = roundtrip_fields(stacked, f)
+            assert got.shape == (p_count, len(f), 2)
+            for p, (q_in, q_out) in enumerate(pairs):
+                want = _oracle_fields(q_in, q_out, f)
+                ex, want_ex = got[p, :, 0], want[:, 0]
+                assert np.array_equal(ex, want_ex), (p_count, len(f), p)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(ex)), np.signbit(part(want_ex)))
+                assert np.all(got[p, :, 1] == 0)
+
+
 def test_scenario_converter_used():
     coil = fs.FaradayCoil(np.array([0.2]))
     pair = (fs.qwp_ideal_in(), fs.qwp_ideal_out())

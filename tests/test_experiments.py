@@ -271,6 +271,15 @@ def test_imperfection_scan_matches_per_plate_sweeps(monkeypatch):
     assert all(math.isnan(g) for g in got)
 
 
+def test_imperfection_scan_needs_both_tolerance_axes():
+    for deviations, angles in (((), (0.0,)), ((0.0,), ()), ((), ())):
+        with pytest.raises(ValueError, match="at least one cut deviation and one splice angle"):
+            fs.run_imperfection_scan(deviations, angles)
+    scan = fs.run_imperfection_scan((0.0, 1e-4), (0.0,), ())  # no currents: NaN cells
+    assert len(scan.cells) == 2
+    assert all(math.isnan(c.max_abs_err_pct) for c in scan.cells)
+
+
 def test_xi_sweep_matches_frozen_cells(xi_table):
     rows, _ = xi_table
     for kind in ("linear", "cosine"):
