@@ -9,6 +9,12 @@ roundtrip_fields(pair, (f,))[0]).
 The coil is always swept over a current grid (FaradayCoil.from_currents), so
 detected_intensity has one path: arrays over the angles, NaN on fringe nulls.
 
+The chain's complex products leave the CPU in a slow vector state in which
+the scalar float code after them (libm pow per intensity, math.cos and
+math.sin per plate and angle) runs several times slower; see
+_vector_state_cleared. roundtrip_fields and mount_at_45deg end that state
+after their last complex product. It changes no value, only the time.
+
 Two conventions matter and are easy to get wrong:
 
 * The Faraday rotation is non-reciprocal. After the mirror the field is
@@ -176,9 +182,30 @@ def qwp_imperfect_tan(w: ImperfectWaveplate) -> JonesMatrix:
     )
 
 
+_EXP_ZEROS = np.zeros(8)
+
+
+def _vector_state_cleared(x):
+    """Return x, after ending the slow vector state a complex product leaves.
+
+    After a complex128 matmul (OpenBLAS zgemm), scalar float code runs
+    several times slower until a numpy AVX-512 loop runs; likely cause: the
+    AVX-512 complex kernels return without vzeroupper. Measured on a 2-vCPU
+    AVX-512 Xeon (numpy 2.4.6, OpenBLAS 0.3.31): math.sin took 210-560 ns
+    per call after a complex @ against 35-76 ns before, and libm pow 200-410
+    ns per value against 15-31 ns; a float64 @ does not do this. np.exp over
+    a few zeros ends it (math.sin back to 37-77 ns), where np.add, np.sqrt,
+    np.cos, np.hypot, np.multiply and .copy() did not, or only partly. The
+    exp runs on a private array, never on x, and costs about 0.4 us where the
+    state is already clean.
+    """
+    np.exp(_EXP_ZEROS)
+    return x
+
+
 def mount_at_45deg(element: JonesMatrix) -> JonesMatrix:
     """Place a fast-axis-frame element with its axes at 45 degrees."""
-    return rotator(math.pi / 4) @ element @ rotator(-math.pi / 4)
+    return _vector_state_cleared(rotator(math.pi / 4) @ element @ rotator(-math.pi / 4))
 
 
 @dataclass(frozen=True)
@@ -255,7 +282,7 @@ def roundtrip_fields(
     m = m.reshape(p, 2, n, 2).transpose(2, 0, 1, 3).reshape(n, 2 * p, 2) @ r
     # @ q_in: one (2n, 2) product per plate; @ splice45_in: one in all
     m = m.reshape(n, p, 2, 2).swapaxes(0, 1).reshape(p, 2 * n, 2) @ np.reshape(q_in, (-1, 2, 2))
-    m = m.reshape(-1, 2) @ splice45_in()
+    m = _vector_state_cleared(m.reshape(-1, 2) @ splice45_in())
     return m.reshape(np.shape(q_in)[:-3] + (n, 2, 2))[..., 0]
 
 
@@ -269,12 +296,21 @@ def ideal_intensity(f_rad: float) -> float:
 
 
 def _intensities(fields: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
-    """jones.intensity of every field. np.hypot is the libm call Python's
-    complex abs makes, so |ex| and |ey| are the scalar abs bit for bit; each
-    ** 2 stays a Python float power (libm pow), which x * x and numpy's
-    power do not match on every value."""
-    mags = np.hypot(fields.real, fields.imag).reshape(-1, 2).tolist()
-    return np.array([ax ** 2 + ay ** 2 for ax, ay in mags]).reshape(fields.shape[:-1])
+    """jones.intensity of every field, |ex| ** 2 + |ey| ** 2, bit for bit.
+
+    np.hypot is the libm call Python's complex abs makes, and numpy's
+    float64 float_power loop calls libm pow per value as Python's ** does;
+    np.power, np.square and x * x differ from pow on about 0.09% of values.
+    An intensity that overflows from finite fields raises
+    NumericDomainError; inf and NaN fields give inf and NaN.
+    """
+    try:
+        with np.errstate(over="raise"):
+            p = np.float_power(np.hypot(fields.real, fields.imag), 2.0)
+            # two slices, not .sum(axis=-1): a reduce over a 2-long axis is slower
+            return p[..., 0] + p[..., 1]
+    except FloatingPointError:
+        raise NumericDomainError("detected intensity overflows") from None
 
 
 def detected_intensity(

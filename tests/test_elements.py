@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import focsim as fs
-from focsim.elements import roundtrip_fields
-from focsim.errors import RetardationSingularityError
+from focsim.elements import _intensities, roundtrip_fields
+from focsim.errors import NumericDomainError, RetardationSingularityError
 
 import _frozen
 
@@ -175,6 +175,69 @@ def test_stacked_fields_match_a_per_item_oracle():
                 for part in (np.real, np.imag):
                     assert np.array_equal(np.signbit(part(ex)), np.signbit(part(want_ex)))
                 assert np.all(got[p, :, 1] == 0)
+
+
+def _fields(parts):
+    """(..., 2) complex fields from (..., 4) parts re ex, im ex, re ey, im ey,
+    set part by part so that no infinity turns into NaN on the way."""
+    out = np.empty(parts.shape[:-1] + (2,), dtype=np.complex128)
+    out.real, out.imag = parts[..., 0::2], parts[..., 1::2]
+    return out
+
+
+def _assert_intensities_match_python(fields):
+    """_intensities against Python's abs(ex) ** 2 + abs(ey) ** 2 per field."""
+    got = _intensities(fields)
+    want = np.array(
+        [abs(complex(ex)) ** 2 + abs(complex(ey)) ** 2 for ex, ey in fields.reshape(-1, 2).tolist()],
+        dtype=np.float64,
+    ).reshape(fields.shape[:-1])
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    # Python's complex abs maps every NaN to its own NaN, so a NaN's sign is
+    # not the oracle's; every other sign bit must match
+    num = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
+
+
+def test_intensities_match_python_per_field():
+    rng = np.random.default_rng(16)
+    # general fields: each part of ex and ey log-uniform in 1e-150..1e150, either sign
+    parts = 10.0 ** rng.uniform(-150, 150, (1 << 17, 4)) * rng.choice((-1.0, 1.0), (1 << 17, 4))
+    _assert_intensities_match_python(_fields(parts).reshape(-1, 512, 2))
+    # order-one fields, where pow and x * x differ most often in the last bit
+    parts = rng.uniform(-1.5, 1.5, (1 << 15, 4))
+    _assert_intensities_match_python(_fields(parts))
+    # edge values in every part: signed zeros, NaN, infinities, subnormals
+    edge = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -2.5,
+                     1e150, -1e-150, 5e-324, 6e153])  # four parts of 6e153 still sum below max
+    grid = np.stack(np.meshgrid(edge, edge, edge, edge, indexing="ij"), -1).reshape(-1, 4)
+    _assert_intensities_match_python(_fields(grid))
+    # chain fields, whose ey is a signed zero, behind stacked seeded plates
+    plates = [fs.ImperfectWaveplate(rng.uniform(0.3, 2.8), rng.uniform(-0.5, 0.5))
+              for _ in range(7)] + [fs.ImperfectWaveplate.nominal()]
+    pairs = [fs.front_end_imperfect(w).converter_pair() for w in plates]
+    stacked = tuple(np.stack(m)[:, np.newaxis] for m in zip(*pairs))
+    f = np.linspace(-1.0, 1.0, 201)
+    f[[3, 100]] = (-math.pi / 4, math.pi / 4)  # fringe nulls
+    _assert_intensities_match_python(roundtrip_fields(stacked, f))
+    _assert_intensities_match_python(roundtrip_fields((fs.qwp_ideal_in(), fs.qwp_ideal_out()), f))
+
+
+def test_overflowing_intensity_raises_numeric_domain_error():
+    big = np.full((2, 2), 1e200, dtype=np.complex128)  # finite fields near 1e200
+    coil = fs.FaradayCoil(np.array([0.0, 0.3]))
+    with pytest.raises(NumericDomainError, match="overflows"):
+        fs.detected_intensity(coil, (big, fs.mirror()))
+    # |ex| ** 2 overflows, or the sum of two finite squares does
+    for field in ([1.4e154 + 0j, 0j], [1e154 + 1e154j, 0j], [1.2e154 + 0j, -1.2e154j]):
+        with pytest.raises(NumericDomainError):
+            _intensities(np.array([field]))
+    # non-finite fields are not an overflow: they give inf and NaN as before
+    with np.errstate(all="raise"):
+        got = _intensities(np.array([[complex(np.inf, 1.0), 0j], [complex(np.nan, 0.0), 1j],
+                                     [complex(np.nan, -np.inf), 0j]]))
+    assert got[0] == np.inf and math.isnan(got[1]) and got[2] == np.inf
 
 
 def test_scenario_converter_used():
