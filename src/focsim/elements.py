@@ -9,11 +9,7 @@ roundtrip_fields(pair, (f,))[0]).
 The coil is always swept over a current grid (FaradayCoil.from_currents), so
 detected_intensity has one path: arrays over the angles, NaN on fringe nulls.
 
-The chain's complex products leave the CPU in a slow vector state in which
-the scalar float code after them (libm pow per intensity, math.cos and
-math.sin per plate and angle) runs several times slower; see
-_vector_state_cleared. roundtrip_fields and mount_at_45deg end that state
-after their last complex product. It changes no value, only the time.
+roundtrip_fields ends with _clear_vector_state; its docstring says why.
 
 Two conventions matter and are easy to get wrong:
 
@@ -185,8 +181,8 @@ def qwp_imperfect_tan(w: ImperfectWaveplate) -> JonesMatrix:
 _EXP_ZEROS = np.zeros(8)
 
 
-def _vector_state_cleared(x):
-    """Return x, after ending the slow vector state a complex product leaves.
+def _clear_vector_state() -> None:
+    """End the slow vector state a complex product leaves.
 
     After a complex128 matmul (OpenBLAS zgemm), scalar float code runs
     several times slower until a numpy AVX-512 loop runs; likely cause: the
@@ -196,16 +192,15 @@ def _vector_state_cleared(x):
     ns per value against 15-31 ns; a float64 @ does not do this. np.exp over
     a few zeros ends it (math.sin back to 37-77 ns), where np.add, np.sqrt,
     np.cos, np.hypot, np.multiply and .copy() did not, or only partly. The
-    exp runs on a private array, never on x, and costs about 0.4 us where the
-    state is already clean.
+    exp runs on a private array, never on the chain's data, and costs about
+    0.4 us where the state is already clean.
     """
     np.exp(_EXP_ZEROS)
-    return x
 
 
 def mount_at_45deg(element: JonesMatrix) -> JonesMatrix:
     """Place a fast-axis-frame element with its axes at 45 degrees."""
-    return _vector_state_cleared(rotator(math.pi / 4) @ element @ rotator(-math.pi / 4))
+    return rotator(math.pi / 4) @ element @ rotator(-math.pi / 4)
 
 
 @dataclass(frozen=True)
@@ -282,7 +277,8 @@ def roundtrip_fields(
     m = m.reshape(p, 2, n, 2).transpose(2, 0, 1, 3).reshape(n, 2 * p, 2) @ r
     # @ q_in: one (2n, 2) product per plate; @ splice45_in: one in all
     m = m.reshape(n, p, 2, 2).swapaxes(0, 1).reshape(p, 2 * n, 2) @ np.reshape(q_in, (-1, 2, 2))
-    m = _vector_state_cleared(m.reshape(-1, 2) @ splice45_in())
+    m = m.reshape(-1, 2) @ splice45_in()
+    _clear_vector_state()
     return m.reshape(np.shape(q_in)[:-3] + (n, 2, 2))[..., 0]
 
 

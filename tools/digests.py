@@ -20,10 +20,6 @@ The cases:
   detected intensities of their stacked plates;
 * every CLI subcommand, in CSV and JSON, with small segment counts.
 
-``--expect-change PREFIX`` (repeatable) prints ``name expected-to-change``
-in place of the digest of every case whose name starts with PREFIX, for a
-change meant to move those values; give both runs the same flags.
-
 A digest of BLAS products can differ between CPUs and BLAS builds, so this
 is a tool for comparing trees, not a test. It needs numpy only and takes
 about 8 s on a 2-vCPU Xeon.
@@ -191,8 +187,6 @@ def cli_cases(tmp: pathlib.Path):
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--src", type=pathlib.Path, default=SRC, help="the src directory to import focsim from")
-    p.add_argument("--expect-change", action="append", default=[], metavar="PREFIX",
-                   help="print 'expected-to-change' for the cases under PREFIX")
     args = p.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import focsim as fs
@@ -201,9 +195,6 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         cases = (*spun_cases(fs, spun), *sweep_cases(fs), *scan_cases(fs), *cli_cases(pathlib.Path(tmp)))
         for name, run in cases:
-            if any(name.startswith(prefix) for prefix in args.expect_change):
-                print(name, "expected-to-change")
-                continue
             print(name, digest(*run()), flush=True)
     return 0
 
