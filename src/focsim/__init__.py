@@ -26,29 +26,21 @@ from .elements import (
     ImperfectWaveplate,
     IntensityResult,
     detected_intensity,
-    faraday_in,
-    faraday_out,
-    ideal_intensity,
-    mirror,
     mount_at_45deg,
     polarizer,
     qwp_ideal_in,
     qwp_ideal_out,
     qwp_imperfect,
-    qwp_imperfect_tan,
     roundtrip_fields,
     splice45_in,
     splice45_out,
 )
 from .errors import (
     ConfigError,
-    DegenerateInputError,
     EmptyWindowError,
     FocsimError,
     FringeNullError,
     NumericDomainError,
-    RetardationSingularityError,
-    UnsupportedProfileError,
 )
 from .experiments import (
     ConvergenceResult,
@@ -60,7 +52,6 @@ from .experiments import (
     default_current_grid,
     device_delta,
     front_end_high_order,
-    front_end_ideal,
     front_end_imperfect,
     front_end_spun,
     run_convergence_ladder,
@@ -69,19 +60,7 @@ from .experiments import (
     run_perturbation_study,
     run_xi_sweep,
 )
-from .jones import (
-    apply,
-    ellipticity_axis_ratio,
-    ellipticity_principal,
-    equal_up_to_phase,
-    intensity,
-    is_unitary,
-    jones_matrix,
-    jones_to_stokes,
-    jones_vector,
-    normalize,
-    rotator,
-)
+from .jones import jones_vector, rotator
 from .spun import (
     EllipticityTrajectory,
     PropagationGrid,
@@ -110,27 +89,19 @@ __all__ = [
     "ImperfectWaveplate",
     "IntensityResult",
     "detected_intensity",
-    "faraday_in",
-    "faraday_out",
-    "ideal_intensity",
-    "mirror",
     "mount_at_45deg",
     "polarizer",
     "qwp_ideal_in",
     "qwp_ideal_out",
     "qwp_imperfect",
-    "qwp_imperfect_tan",
     "roundtrip_fields",
     "splice45_in",
     "splice45_out",
     "ConfigError",
-    "DegenerateInputError",
     "EmptyWindowError",
     "FocsimError",
     "FringeNullError",
     "NumericDomainError",
-    "RetardationSingularityError",
-    "UnsupportedProfileError",
     "ConvergenceResult",
     "CurrentSweepSpec",
     "FrontEnd",
@@ -144,7 +115,6 @@ __all__ = [
     "default_sweep_spec",
     "device_delta",
     "front_end_high_order",
-    "front_end_ideal",
     "front_end_imperfect",
     "front_end_spun",
     "run_convergence_ladder",
@@ -152,16 +122,7 @@ __all__ = [
     "run_imperfection_scan",
     "run_perturbation_study",
     "run_xi_sweep",
-    "apply",
-    "ellipticity_axis_ratio",
-    "ellipticity_principal",
-    "equal_up_to_phase",
-    "intensity",
-    "is_unitary",
-    "jones_matrix",
-    "jones_to_stokes",
     "jones_vector",
-    "normalize",
     "rotator",
     "EllipticityTrajectory",
     "PropagationGrid",

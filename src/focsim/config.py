@@ -41,9 +41,7 @@ from .constants import ASSUMED_CONSTANTS, SCHEMA_VERSION, constant
 from .errors import ConfigError
 from .experiments import CurrentSweepSpec, FrontEnd
 from .elements import ImperfectWaveplate
-from .spun import SpinProfile, SpunMediumSpec
-
-_PROFILE_KINDS = ("linear", "cosine", "constant")
+from .spun import PROFILE_KINDS, SpinProfile, SpunMediumSpec
 
 
 # ------------------------------------------------------------------ checks
@@ -138,7 +136,7 @@ def _key(check, default=MISSING):
 
 @dataclass(frozen=True)
 class ProfileConfig:
-    kind: str = _key(_one_of(_PROFILE_KINDS))
+    kind: str = _key(_one_of(PROFILE_KINDS))
     xi_over_delta: float = _key(_number)
     lead_in_l1_m: float = _key(_non_negative)
     transition_l2_m: float = _key(_non_negative)
@@ -240,7 +238,7 @@ class CurrentSweepConfig:
 @dataclass(frozen=True)
 class XiSweepConfig:
     ratios: tuple[float, ...] = _key(_list_of(_number))
-    profiles: tuple[str, ...] = _key(_list_of(_one_of(_PROFILE_KINDS)))
+    profiles: tuple[str, ...] = _key(_list_of(_one_of(PROFILE_KINDS)))
     n_segments: int = _key(_integer(1))
 
 

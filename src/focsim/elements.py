@@ -35,8 +35,8 @@ import numpy as np
 import numpy.typing as npt
 
 from .constants import constant
-from .errors import NumericDomainError, RetardationSingularityError
-from .jones import IDENTITY, JonesMatrix, rotator
+from .errors import NumericDomainError
+from .jones import JonesMatrix, rotator
 
 SQRT_HALF = math.sqrt(0.5)
 FRINGE_FLOOR = 1e-15  # ideal intensity below this is a fringe null
@@ -62,18 +62,6 @@ def qwp_ideal_in() -> JonesMatrix:
 
 def qwp_ideal_out() -> JonesMatrix:
     return SQRT_HALF * np.array([[1, -1j], [-1j, 1]], dtype=np.complex128)
-
-
-def faraday_in(f_rad: float) -> JonesMatrix:
-    return rotator(f_rad)
-
-
-def faraday_out(f_rad: float) -> JonesMatrix:
-    return rotator(-f_rad)
-
-
-def mirror() -> JonesMatrix:
-    return IDENTITY.copy()
 
 
 @dataclass(frozen=True)
@@ -154,25 +142,6 @@ def qwp_imperfect(w: ImperfectWaveplate) -> JonesMatrix:
         [
             [c + 1j * s * c2b, 1j * s * s2b],
             [1j * s * s2b, c - 1j * s * c2b],
-        ],
-        dtype=np.complex128,
-    )
-
-
-def qwp_imperfect_tan(w: ImperfectWaveplate) -> JonesMatrix:
-    """Literal tan-form construction; singular at rho = pi mod 2 pi."""
-    if abs(math.remainder(w.rho_rad - math.pi, 2 * math.pi)) < 1e-9:
-        raise RetardationSingularityError(
-            f"tan(rho/2) diverges at rho_rad={w.rho_rad!r}"
-        )
-    c = math.cos(w.rho_rad / 2)
-    t = math.tan(w.rho_rad / 2)
-    c2b = math.cos(2 * w.beta_rad)
-    s2b = math.sin(2 * w.beta_rad)
-    return c * np.array(
-        [
-            [1 + 1j * t * c2b, 1j * t * s2b],
-            [1j * t * s2b, 1 - 1j * t * c2b],
         ],
         dtype=np.complex128,
     )
@@ -286,13 +255,9 @@ def _ideal_pair() -> tuple[JonesMatrix, JonesMatrix]:
     return qwp_ideal_in(), qwp_ideal_out()
 
 
-def ideal_intensity(f_rad: float) -> float:
-    """Closed form for the nominal chain at unit input, (1 + cos 4F) / 2."""
-    return 0.5 * (1.0 + math.cos(4 * f_rad))
-
-
 def _intensities(fields: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
-    """jones.intensity of every field, |ex| ** 2 + |ey| ** 2, bit for bit.
+    """abs(ex) ** 2 + abs(ey) ** 2 of every field, bit for bit as Python
+    computes it per value.
 
     np.hypot is the libm call Python's complex abs makes, and numpy's
     float64 float_power loop calls libm pow per value as Python's ** does;

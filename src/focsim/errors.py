@@ -1,8 +1,8 @@
 """Exception taxonomy.
 
-Numeric-domain failures (fringe nulls, retardation singularities, degenerate
-fields, empty metric windows) are kept distinct from configuration mistakes
-so the CLI can map them to different exit codes.
+Numeric-domain failures (fringe nulls, empty metric windows) are kept
+distinct from configuration mistakes so the CLI can map them to different
+exit codes.
 """
 
 from __future__ import annotations
@@ -24,21 +24,9 @@ class NumericDomainError(FocsimError):
     """A parameter landed where the model's formulas are undefined."""
 
 
-class DegenerateInputError(NumericDomainError):
-    """Field vector too small for the requested ellipticity formula."""
-
-
 class FringeNullError(NumericDomainError):
     """Relative error undefined: the ideal interference fringe vanishes here."""
 
 
-class RetardationSingularityError(NumericDomainError):
-    """tan(rho/2) diverges; use the sine/cosine construction instead."""
-
-
 class EmptyWindowError(NumericDomainError):
     """Metric window contains fewer than two trajectory samples."""
-
-
-class UnsupportedProfileError(FocsimError):
-    """Operation needs an analytic spin profile."""

@@ -100,10 +100,6 @@ class FrontEnd:
         return fwd, np.conj(fwd)
 
 
-def front_end_ideal() -> FrontEnd:
-    return FrontEnd(kind="ideal")
-
-
 def front_end_imperfect(waveplate: ImperfectWaveplate) -> FrontEnd:
     return FrontEnd(kind="imperfect_qwp", waveplate=waveplate)
 

@@ -32,18 +32,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 import numpy.typing as npt
 
 from .constants import constant
-from .errors import (
-    EmptyWindowError,
-    NumericDomainError,
-    UnsupportedProfileError,
-)
+from .errors import EmptyWindowError, NumericDomainError
 from .jones import JonesMatrix, JonesVector, jones_vector
 
 _CHUNK = 1 << 19
@@ -52,7 +48,8 @@ _BLOCK = 1 << 9
 # subtrees of the whole-chunk tree and total_matrix changes in the last bits
 _SUB = 1 << 14
 
-ProfileKind = Literal["linear", "cosine", "constant", "sampled"]
+ProfileKind = Literal["linear", "cosine", "constant"]
+PROFILE_KINDS: tuple[str, ...] = get_args(ProfileKind)
 MetricKind = Literal["principal", "axis_ratio"]
 
 
@@ -65,43 +62,19 @@ class SpinProfile:
     The cosine ramp has a continuous derivative at both ends of the
     transition; the linear ramp does not, and that asymmetry is the whole
     point of comparing them. constant spins at xi_max everywhere, modeling
-    conventional spun fiber. sampled interpolates a measured (z, xi) table.
+    conventional spun fiber.
     """
 
     kind: ProfileKind
     xi_max_rad_per_m: float
     lead_in_l1_m: float = 0.0
     transition_l2_m: float = 0.0
-    samples: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
+        if self.kind not in PROFILE_KINDS:
+            raise ValueError(f"unknown spin profile kind {self.kind!r}")
         if self.kind in ("linear", "cosine") and self.transition_l2_m <= 0.0:
             raise ValueError(f"{self.kind} profile needs a positive transition length")
-        if self.kind == "sampled":
-            if not self.samples or len(self.samples) < 2:
-                raise ValueError("sampled profile needs at least two (z, xi) pairs")
-            zs = [z for z, _ in self.samples]
-            if any(b <= a for a, b in zip(zs, zs[1:])):
-                raise ValueError("sampled z values must strictly increase")
-
-    def spin_rate(self, z):
-        """xi at position z (rad/m). Accepts scalars or arrays."""
-        z = np.asarray(z, dtype=np.float64)
-        if np.any(z < 0.0):
-            raise NumericDomainError("spin profile undefined for z < 0")
-        if self.kind == "constant":
-            out = np.full_like(z, self.xi_max_rad_per_m)
-        elif self.kind == "sampled":
-            zs = np.array([p[0] for p in self.samples])
-            xs = np.array([p[1] for p in self.samples])
-            out = np.interp(z, zs, xs)
-        else:
-            u = np.clip((z - self.lead_in_l1_m) / self.transition_l2_m, 0.0, 1.0)
-            if self.kind == "linear":
-                out = self.xi_max_rad_per_m * u
-            else:
-                out = self.xi_max_rad_per_m * (0.5 - 0.5 * np.cos(np.pi * u))
-        return out if out.ndim else float(out)
 
     def spin_angle(self, z):
         """Cumulative axis orientation theta(z) = integral of xi. Radians."""
@@ -110,8 +83,6 @@ class SpinProfile:
             raise NumericDomainError("spin profile undefined for z < 0")
         if self.kind == "constant":
             out = self.xi_max_rad_per_m * z
-        elif self.kind == "sampled":
-            out = self._sampled_angle(z)
         else:
             l1, l2, xm = self.lead_in_l1_m, self.transition_l2_m, self.xi_max_rad_per_m
             u = np.clip(z - l1, 0.0, l2)
@@ -121,21 +92,6 @@ class SpinProfile:
                 ramp = xm * (0.5 * u - (0.5 * l2 / np.pi) * np.sin(np.pi * u / l2))
             out = ramp + xm * np.clip(z - l1 - l2, 0.0, None)
         return out if out.ndim else float(out)
-
-    def _sampled_angle(self, z: npt.NDArray[np.float64]):
-        zs = np.array([p[0] for p in self.samples])
-        xs = np.array([p[1] for p in self.samples])
-        knots = np.concatenate([[0.0], np.cumsum(0.5 * (xs[1:] + xs[:-1]) * np.diff(zs))])
-        # the rate clamps to its end values outside the table, so the
-        # integral runs at xs[0] before the first knot and xs[-1] after the
-        # last; inside, the trapezoid partial sums are exact for the
-        # piecewise-linear rate
-        knots += xs[0] * zs[0]
-        idx = np.clip(np.searchsorted(zs, z, side="right") - 1, 0, len(zs) - 2)
-        inside = knots[idx] + 0.5 * (xs[idx] + np.interp(z, zs, xs)) * (z - zs[idx])
-        below = xs[0] * z
-        above = knots[-1] + xs[-1] * (z - zs[-1])
-        return np.where(z < zs[0], below, np.where(z > zs[-1], above, inside))
 
 
 @dataclass(frozen=True)
@@ -176,9 +132,6 @@ class SpunMediumSpec:
         environmental drift rescales delta only, never xi(z).
         """
         return SpunMediumSpec(self.total_length_m, delta_rad_per_m, self.profile)
-
-    def with_total_length(self, total_length_m: float) -> "SpunMediumSpec":
-        return SpunMediumSpec(total_length_m, self.delta_rad_per_m, self.profile)
 
 
 @dataclass(frozen=True)
@@ -331,10 +284,6 @@ class EllipticityTrajectory:
         """Whole-trajectory RMS deviation from the mean."""
         return stability_metrics(self, window=(float(self.z_m[0]), float(self.z_m[-1]))).rms_eps
 
-    @property
-    def peak_eps(self) -> float:
-        return float(np.nanmax(self.epsilon))
-
 
 def _eps_from_states(
     ex: npt.NDArray[np.complex128], ey: npt.NDArray[np.complex128], metric_kind: MetricKind
@@ -384,7 +333,7 @@ def propagate_trajectory(
 
     The scan applies the same segment matrices as total_matrix in the same
     order but groups the products differently, so its final state agrees
-    with apply(total_matrix(spec, grid), e_in) to rounding, not bit for bit.
+    with total_matrix(spec, grid) @ e_in to rounding, not bit for bit.
     """
     if e_in is None:
         e_in = jones_vector(1.0, 0.0)
@@ -484,7 +433,7 @@ def estimate_segments(total_length_m: float, tolerance_eps: float) -> int:
 
 
 def fluctuation_bound(profile: SpinProfile) -> float:
-    """Fluctuation driver max|dxi/dz| * xi_max for analytic profiles.
+    """Fluctuation driver max|dxi/dz| * xi_max of a spin profile.
 
     A correlation driver, not an absolute bound; the proportionality
     constant is unknown.
@@ -494,6 +443,4 @@ def fluctuation_bound(profile: SpinProfile) -> float:
         return xm * xm / profile.transition_l2_m
     if profile.kind == "cosine":
         return math.pi * xm * xm / (2.0 * profile.transition_l2_m)
-    if profile.kind == "constant":
-        return 0.0
-    raise UnsupportedProfileError("sampled profiles have no analytic rate derivative")
+    return 0.0  # constant

@@ -1,0 +1,95 @@
+"""Reference formulas the tests compare focsim against, kept outside the
+library under test: Stokes and ellipticity algebra, unitarity and
+projective equality, the paper's printed tan-form plate, the nominal
+chain's closed form and the spin rate of each profile kind.
+
+Sign conventions: s3 = -2 Im(ex conj(ey)), so the circular state
+(1, i)/sqrt(2) has s3 = +1; the signed principal-frame ellipticity is
+tan(chi) with sin(2chi) = s3/s0, positive for that same circular state.
+"""
+
+import math
+
+import numpy as np
+
+
+def intensity(v) -> float:
+    return float(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+
+
+def jones_to_stokes(v):
+    ex, ey = complex(v[0]), complex(v[1])
+    cross = ex * ey.conjugate()
+    return np.array(
+        [
+            abs(ex) ** 2 + abs(ey) ** 2,
+            abs(ex) ** 2 - abs(ey) ** 2,
+            2.0 * cross.real,
+            -2.0 * cross.imag,
+        ],
+        dtype=np.float64,
+    )
+
+
+def ellipticity_principal(v) -> float:
+    """Signed ellipticity tan(chi) in the ellipse's own principal frame.
+
+    The result lies in [-1, 1]; its magnitude is the minor-to-major axis
+    ratio regardless of how the ellipse is oriented.
+    """
+    s = jones_to_stokes(v)
+    if s[0] <= 0.0:
+        raise ValueError("zero field has no ellipticity")
+    ratio = min(1.0, max(-1.0, s[3] / s[0]))
+    return math.tan(0.5 * math.asin(ratio))
+
+
+def is_unitary(m, tol: float = 1e-12) -> bool:
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(2))) < tol)
+
+
+def equal_up_to_phase(a, b, tol: float = 1e-12) -> bool:
+    """Projective equality: |tr(a^H b)| / 2 = 1 within tol.
+
+    Jones matrices that differ only by a global phase act identically on
+    every measurable intensity.
+    """
+    na = math.sqrt(float(np.sum(np.abs(a) ** 2)) / 2.0)
+    nb = math.sqrt(float(np.sum(np.abs(b) ** 2)) / 2.0)
+    if na == 0.0 or nb == 0.0:
+        return na == nb
+    return abs(abs(complex(np.trace(a.conj().T @ b))) / (2.0 * na * nb) - 1.0) < tol
+
+
+def qwp_imperfect_tan(w):
+    """The paper's printed tan-form plate; diverges at rho = pi mod 2 pi."""
+    c = math.cos(w.rho_rad / 2)
+    t = math.tan(w.rho_rad / 2)
+    c2b = math.cos(2 * w.beta_rad)
+    s2b = math.sin(2 * w.beta_rad)
+    return c * np.array(
+        [
+            [1 + 1j * t * c2b, 1j * t * s2b],
+            [1j * t * s2b, 1 - 1j * t * c2b],
+        ],
+        dtype=np.complex128,
+    )
+
+
+def ideal_intensity(f_rad: float) -> float:
+    """Closed form for the nominal chain at unit input, (1 + cos 4F) / 2."""
+    return 0.5 * (1.0 + math.cos(4 * f_rad))
+
+
+def spin_rate(profile, z):
+    """xi at position z (rad/m) of a focsim SpinProfile, for scalars or arrays."""
+    z = np.asarray(z, dtype=np.float64)
+    if profile.kind == "constant":
+        out = np.full_like(z, profile.xi_max_rad_per_m)
+    else:
+        u = np.clip((z - profile.lead_in_l1_m) / profile.transition_l2_m, 0.0, 1.0)
+        if profile.kind == "linear":
+            out = profile.xi_max_rad_per_m * u
+        else:
+            out = profile.xi_max_rad_per_m * (0.5 - 0.5 * np.cos(np.pi * u))
+    return out if out.ndim else float(out)

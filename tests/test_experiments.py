@@ -39,7 +39,7 @@ def test_front_end_validation():
     with pytest.raises(ValueError):
         fs.FrontEnd(kind="polarizer")
     printed = (fs.qwp_ideal_in(), fs.qwp_ideal_out())
-    for fe in (fs.front_end_ideal(), fs.front_end_imperfect(plate)):
+    for fe in (fs.FrontEnd(kind="ideal"), fs.front_end_imperfect(plate)):
         fwd, ret = fe.converter_pair()
         assert np.array_equal(fwd, printed[0]) and np.array_equal(ret, printed[1])
 
@@ -383,12 +383,12 @@ def test_distributed_front_ends_match_frozen_sweep_errors():
     ho = fs.default_high_order_front_end()
     n = ho.n_segments
     for idx, d in ((1, 0.0), (2, dev)):
-        fe = fs.front_end_high_order(ho.medium.with_total_length(0.10 + d), n)
+        fe = fs.front_end_high_order(replace(ho.medium, total_length_m=0.10 + d), n)
         res = fs.run_current_sweep(fs.default_sweep_spec(fe))
         assert res.max_abs_err_pct == pytest.approx(_frozen.C8_HO_ERRS_PCT[idx], rel=1e-9)
     sp = fs.default_spun_front_end()
     for idx, d in ((0, -dev), (1, 0.0)):
-        fe = fs.front_end_spun(sp.medium.with_total_length(0.03 + d), n)
+        fe = fs.front_end_spun(replace(sp.medium, total_length_m=0.03 + d), n)
         res = fs.run_current_sweep(fs.default_sweep_spec(fe))
         assert res.max_abs_err_pct == pytest.approx(_frozen.C8_SPUN_ERRS_PCT[idx], rel=1e-9)
 

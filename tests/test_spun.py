@@ -5,6 +5,7 @@ metric checks compare against values frozen from the independent
 reference implementation in _frozen.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,7 +14,7 @@ import pytest
 
 import focsim as fs
 from focsim.constants import constant
-from focsim.errors import EmptyWindowError, NumericDomainError, UnsupportedProfileError
+from focsim.errors import EmptyWindowError, NumericDomainError
 from focsim.spun import (
     conversion_length,
     grid_for,
@@ -24,6 +25,7 @@ from focsim.spun import (
 )
 
 import _frozen
+import _oracles
 
 DEMO = fs.default_demo_medium()
 
@@ -57,18 +59,16 @@ def test_profile_validation():
         fs.SpinProfile("linear", 10.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         fs.SpinProfile("cosine", 10.0, 0.0, -0.1)
-    with pytest.raises(ValueError):
-        fs.SpinProfile("sampled", 10.0, samples=((0.0, 1.0),))
-    with pytest.raises(ValueError):
-        fs.SpinProfile("sampled", 10.0, samples=((0.0, 1.0), (0.0, 2.0)))
+    with pytest.raises(ValueError, match="unknown spin profile kind"):
+        fs.SpinProfile("bogus", 10.0, 0.0, 0.1)
 
 
 def test_constant_profile_spins_uniformly():
     p = fs.SpinProfile("constant", 3.0)
     z = np.array([0.0, 0.4, 2.5])
-    assert np.array_equal(p.spin_rate(z), [3.0, 3.0, 3.0])
+    assert np.array_equal(_oracles.spin_rate(p, z), [3.0, 3.0, 3.0])
     assert np.allclose(p.spin_angle(z), 3.0 * z, atol=0.0)
-    assert p.spin_rate(0.7) == 3.0
+    assert _oracles.spin_rate(p, 0.7) == 3.0
 
 
 def test_ramp_rates_hit_closed_form_waypoints():
@@ -76,14 +76,14 @@ def test_ramp_rates_hit_closed_form_waypoints():
     lin = fs.SpinProfile("linear", xm, l1, l2)
     cos = fs.SpinProfile("cosine", xm, l1, l2)
     for p in (lin, cos):
-        assert p.spin_rate(0.0) == 0.0
-        assert p.spin_rate(l1) == 0.0
-        assert p.spin_rate(l1 + l2) == pytest.approx(xm, abs=1e-12)
-        assert p.spin_rate(l1 + l2 + 1.0) == xm
-    assert lin.spin_rate(l1 + 0.5 * l2) == pytest.approx(0.5 * xm, abs=1e-12)
-    assert cos.spin_rate(l1 + 0.5 * l2) == pytest.approx(0.5 * xm, abs=1e-12)
+        assert _oracles.spin_rate(p, 0.0) == 0.0
+        assert _oracles.spin_rate(p, l1) == 0.0
+        assert _oracles.spin_rate(p, l1 + l2) == pytest.approx(xm, abs=1e-12)
+        assert _oracles.spin_rate(p, l1 + l2 + 1.0) == xm
+    assert _oracles.spin_rate(lin, l1 + 0.5 * l2) == pytest.approx(0.5 * xm, abs=1e-12)
+    assert _oracles.spin_rate(cos, l1 + 0.5 * l2) == pytest.approx(0.5 * xm, abs=1e-12)
     # quarter-way: cosine lags the linear ramp below the midpoint
-    assert cos.spin_rate(l1 + 0.25 * l2) < lin.spin_rate(l1 + 0.25 * l2)
+    assert _oracles.spin_rate(cos, l1 + 0.25 * l2) < _oracles.spin_rate(lin, l1 + 0.25 * l2)
 
 
 def test_cosine_ramp_enters_and_leaves_smoothly():
@@ -91,9 +91,9 @@ def test_cosine_ramp_enters_and_leaves_smoothly():
     xm, l1, l2, h = 200.0, 0.02, 0.25, 1e-6
     cos = fs.SpinProfile("cosine", xm, l1, l2)
     lin = fs.SpinProfile("linear", xm, l1, l2)
-    assert abs(cos.spin_rate(l1 + h) - cos.spin_rate(l1)) < 1e-5
-    assert abs(cos.spin_rate(l1 + l2) - cos.spin_rate(l1 + l2 - h)) < 1e-5
-    assert lin.spin_rate(l1 + h) - lin.spin_rate(l1) > 1e-4
+    assert abs(_oracles.spin_rate(cos, l1 + h) - _oracles.spin_rate(cos, l1)) < 1e-5
+    assert abs(_oracles.spin_rate(cos, l1 + l2) - _oracles.spin_rate(cos, l1 + l2 - h)) < 1e-5
+    assert _oracles.spin_rate(lin, l1 + h) - _oracles.spin_rate(lin, l1) > 1e-4
 
 
 def test_spin_angle_integrates_spin_rate():
@@ -101,14 +101,11 @@ def test_spin_angle_integrates_spin_rate():
         fs.SpinProfile("linear", 150.0, 0.05, 0.3),
         fs.SpinProfile("cosine", 150.0, 0.05, 0.3),
         fs.SpinProfile("constant", 80.0),
-        fs.SpinProfile(
-            "sampled", 40.0, samples=((0.2, 5.0), (0.5, 30.0), (0.9, 12.0), (1.4, 40.0))
-        ),
     ]
     for p in profiles:
         for zq in (0.13, 0.35, 0.62, 1.1, 1.9):
             zg = np.linspace(0.0, zq, 400_001)
-            want = float(np.trapezoid(p.spin_rate(zg), zg))
+            want = float(np.trapezoid(_oracles.spin_rate(p, zg), zg))
             assert p.spin_angle(zq) == pytest.approx(want, abs=1e-9)
         assert p.spin_angle(0.0) == 0.0
 
@@ -124,24 +121,9 @@ def test_angle_grows_linearly_past_the_transition():
 def test_profiles_reject_negative_positions():
     p = fs.SpinProfile("linear", 10.0, 0.0, 0.1)
     with pytest.raises(NumericDomainError):
-        p.spin_rate(-1e-9)
+        p.spin_angle(-1e-9)
     with pytest.raises(NumericDomainError):
         p.spin_angle(np.array([0.1, -0.2]))
-
-
-def test_sampled_profile_interpolates_and_clamps():
-    p = fs.SpinProfile("sampled", 30.0, samples=((0.2, 10.0), (0.6, 30.0), (1.0, 20.0)))
-    assert p.spin_rate(0.2) == 10.0
-    assert p.spin_rate(0.6) == 30.0
-    assert p.spin_rate(0.4) == pytest.approx(20.0, abs=1e-12)
-    # outside the table the rate holds its end values
-    assert p.spin_rate(0.05) == 10.0
-    assert p.spin_rate(3.0) == 20.0
-    # and the angle stays continuous across the table edges
-    for edge in (0.2, 1.0):
-        below = p.spin_angle(edge - 1e-9)
-        above = p.spin_angle(edge + 1e-9)
-        assert abs(above - below) < 1e-6
 
 
 # ---- medium spec and grid ----
@@ -171,7 +153,7 @@ def test_with_delta_keeps_the_fabricated_profile():
     assert moved.profile is med.profile
     assert moved.total_length_m == med.total_length_m
     assert moved.delta_rad_per_m == med.delta_rad_per_m * 1.02
-    longer = med.with_total_length(0.5)
+    longer = dataclasses.replace(med, total_length_m=0.5)
     assert longer.profile is med.profile
     assert longer.delta_rad_per_m == med.delta_rad_per_m
 
@@ -202,7 +184,7 @@ def test_segment_matrix_is_a_rotated_retarder():
     rot = fs.rotator(theta)
     want = rot @ segment_matrix(100.0, 0.0, 0.01) @ rot.T
     assert np.allclose(segment_matrix(100.0, theta, 0.01), want, atol=1e-15)
-    assert fs.is_unitary(segment_matrix(123.4, 1.1, 0.007), tol=1e-14)
+    assert _oracles.is_unitary(segment_matrix(123.4, 1.1, 0.007), tol=1e-14)
     with pytest.raises(ValueError):
         segment_matrix(100.0, 0.0, 0.0)
 
@@ -373,8 +355,8 @@ def test_uniform_spin_converges_to_the_closed_form():
 def test_trajectory_final_state_matches_total_matrix():
     grid = grid_for(DEMO, 4096)
     traj = propagate_trajectory(DEMO, grid)
-    e_fin = fs.apply(total_matrix(DEMO, grid), fs.jones_vector(1.0, 0.0))
-    want = abs(fs.ellipticity_principal(e_fin))
+    e_fin = total_matrix(DEMO, grid) @ fs.jones_vector(1.0, 0.0)
+    want = abs(_oracles.ellipticity_principal(e_fin))
     assert traj.epsilon[-1] == pytest.approx(want, abs=1e-10)
     assert np.array_equal(traj.z_m, grid.z_samples())
     assert traj.epsilon[0] == 0.0  # linear launch state
@@ -403,10 +385,10 @@ def test_trajectory_states_match_segment_by_segment_product(n, chunk, monkeypatc
     e_in = fs.jones_vector(0.8, 0.36 + 0.48j)
     grid = grid_for(med, n)
     v = e_in
-    want = [abs(fs.ellipticity_principal(v))]
+    want = [abs(_oracles.ellipticity_principal(v))]
     for theta in med.profile.spin_angle(np.arange(n) * grid.dz_m):
         v = segment_matrix(delta, float(theta), grid.dz_m) @ v
-        want.append(abs(fs.ellipticity_principal(v)))
+        want.append(abs(_oracles.ellipticity_principal(v)))
     traj = propagate_trajectory(med, grid, e_in=e_in)
     np.testing.assert_allclose(traj.epsilon, want, rtol=0.0, atol=1e-12)
 
@@ -437,7 +419,7 @@ def test_trajectory_scan_matches_frozen_metrics(metrics_trajectory):
     assert m.rms_eps == pytest.approx(g["rms_settled"], rel=1e-8)
     assert m.mean_eps == pytest.approx(g["mean_settled"], rel=1e-9)
     assert metrics_trajectory.delta_eps_pp == pytest.approx(g["pp_full"], rel=1e-9)
-    assert metrics_trajectory.peak_eps == pytest.approx(g["peak"], rel=1e-9)
+    assert np.nanmax(metrics_trajectory.epsilon) == pytest.approx(g["peak"], rel=1e-9)
     assert conversion_length(metrics_trajectory) is None and g["conv_abs"] is None
     # the frozen relative-threshold crossing was located on a strided
     # subsample, so the full-grid crossing may precede it by one stride
@@ -529,7 +511,3 @@ def test_fluctuation_bound_closed_forms():
     assert fs.fluctuation_bound(cos) == pytest.approx(400.0 * math.pi, rel=1e-15)
     assert fs.fluctuation_bound(cos) > fs.fluctuation_bound(lin)
     assert fs.fluctuation_bound(fs.SpinProfile("constant", 20.0)) == 0.0
-    with pytest.raises(UnsupportedProfileError):
-        fs.fluctuation_bound(
-            fs.SpinProfile("sampled", 20.0, samples=((0.0, 0.0), (1.0, 20.0)))
-        )

@@ -99,7 +99,7 @@ def sweep_cases(fs):
               for d, b in zip(rng.uniform(-2 * cut, 2 * cut, 40), rng.uniform(-2 * splice, 2 * splice, 40))]
     plates += [fs.ImperfectWaveplate.nominal(), fs.ImperfectWaveplate(math.pi, 0.3)]
     fronts = [(f"plate/{i}", fs.front_end_imperfect(plate)) for i, plate in enumerate(plates)]
-    fronts.append(("ideal", fs.front_end_ideal()))
+    fronts.append(("ideal", fs.FrontEnd(kind="ideal")))
     for name, front in fronts:
         yield f"sweep/{name}", functools.partial(
             _sweep_columns, fs, replace(spec, front_end=front, currents_a=currents)
