@@ -134,17 +134,25 @@ def qwp_imperfect(w: ImperfectWaveplate) -> JonesMatrix:
     Built from the sine/cosine form, which is algebraically identical to the
     printed tan form but stays finite at rho = pi.
     """
-    c = math.cos(w.rho_rad / 2)
-    s = math.sin(w.rho_rad / 2)
-    c2b = math.cos(2 * w.beta_rad)
-    s2b = math.sin(2 * w.beta_rad)
-    return np.array(
-        [
-            [c + 1j * s * c2b, 1j * s * s2b],
-            [1j * s * s2b, c - 1j * s * c2b],
-        ],
-        dtype=np.complex128,
-    )
+    return _plate_stack((w,))[0]
+
+
+def _plate_stack(plates: Sequence[ImperfectWaveplate]) -> npt.NDArray[np.complex128]:
+    """(P, 2, 2) stack of qwp_imperfect(w) for every plate w.
+
+    The sines and cosines come from math.sin/math.cos per value, as in
+    _rotator_stack; the complex sums and products are numpy's, which round
+    as Python's scalar complex arithmetic does.
+    """
+    c = np.array([math.cos(w.rho_rad / 2) for w in plates])
+    s = np.array([math.sin(w.rho_rad / 2) for w in plates])
+    c2b = np.array([math.cos(2 * w.beta_rad) for w in plates])
+    s2b = np.array([math.sin(2 * w.beta_rad) for w in plates])
+    m = np.empty((len(plates), 2, 2), dtype=np.complex128)
+    m[:, 0, 0] = c + 1j * s * c2b
+    m[:, 0, 1] = m[:, 1, 0] = 1j * s * s2b
+    m[:, 1, 1] = c - 1j * s * c2b
+    return m
 
 
 _EXP_ZEROS = np.zeros(8)
@@ -168,8 +176,29 @@ def _clear_vector_state() -> None:
 
 
 def mount_at_45deg(element: JonesMatrix) -> JonesMatrix:
-    """Place a fast-axis-frame element with its axes at 45 degrees."""
+    """Place a fast-axis-frame element, or a (P, 2, 2) stack of them, with
+    its axes at 45 degrees; a stack takes one 2x2 product per item either
+    side, each slice equal to that element's own call."""
     return rotator(math.pi / 4) @ element @ rotator(-math.pi / 4)
+
+
+def plate_converter_pairs(
+    plates: Sequence[ImperfectWaveplate],
+) -> tuple[npt.NDArray[np.complex128], npt.NDArray[np.complex128]]:
+    """Forward and return converters of P plates, each stacked as (P, 2, 2).
+
+    A plate is mounted at 45 degrees and returns through its complex
+    conjugate. A nominal plate gives the printed ideal pair instead: its
+    mounted matrix is off that pair by rounding, and the conjugate of
+    qwp_ideal_in flips the sign of the zero imaginary parts of qwp_ideal_out.
+    FrontEnd.converter_pair takes a plate's pair from here, so a plate in a
+    stack gives the same bytes as on its own.
+    """
+    fwd = mount_at_45deg(_plate_stack(plates))
+    ret = np.conj(fwd)
+    nominal = [w.is_nominal() for w in plates]
+    fwd[nominal], ret[nominal] = qwp_ideal_in(), qwp_ideal_out()
+    return fwd, ret
 
 
 @dataclass(frozen=True)
@@ -228,20 +257,22 @@ def roundtrip_fields(
     The chain polarizer @ splice45_out @ q_out @ r @ r @ q_in @ splice45_in
     is multiplied left to right with every 2x2 product of a single pass, but
     each factor shared by many items is applied in one matmul over those
-    items side by side. A converter pair stacked as (P, 1, 2, 2) gives
-    fields (P, n, 2), each slice equal to that converter's own call. The
-    inbound polarizer passes the unit launch field (1, 0) unchanged, so the
-    detector field is the first column of the rest of the chain.
+    items side by side: P plates at n angles take 2P + n + 3 BLAS calls. A
+    converter pair stacked as (P, 1, 2, 2) gives fields (P, n, 2), each
+    slice equal to that converter's own call. The inbound polarizer passes
+    the unit launch field (1, 0) unchanged, so the detector field is the
+    first column of the rest of the chain.
     """
     q_in, q_out = converter
     r = _rotator_stack(f_rad)
     n = len(r)
     # no mirror factor: it is the identity in this lab-frame convention, and
     # the non-reciprocal return rotation has the same sense as the inbound one
+    # polarizer @ splice45_out once, @ q_out: one 2x2 product per plate
     a = (polarizer() @ splice45_out() @ q_out).reshape(-1, 2, 2)
     p = len(a)
-    # a_p @ [r_1 ... r_n]: one (2, 2n) product per plate
-    m = a @ r.transpose(1, 0, 2).reshape(2, 2 * n)
+    # [a_1; ...; a_P] @ [r_1 ... r_n]: one (2P, 2n) product in all
+    m = a.reshape(2 * p, 2) @ r.transpose(1, 0, 2).reshape(2, 2 * n)
     # @ r_k: one (2P, 2) product per angle, the plates' rows stacked
     m = m.reshape(p, 2, n, 2).transpose(2, 0, 1, 3).reshape(n, 2 * p, 2) @ r
     # @ q_in: one (2n, 2) product per plate; @ splice45_in: one in all

@@ -3,9 +3,10 @@
 Each runner is a pure function from a frozen parameter record to an
 immutable result, evaluated serially in a fixed order. A current sweep is
 one detected_intensity call on a coil swept over all its currents
-(elements.roundtrip_fields batches the chain over them); an imperfection
-scan also stacks its plates' converter pairs, one call over plates x
-currents.
+(elements.roundtrip_fields batches the chain over them). An imperfection
+scan builds its plates' converter pairs as one (P, 2, 2) stack
+(elements.plate_converter_pairs: one mounting product per plate on each
+side, one conjugate) and makes one call over plates x currents.
 
 The default devices, medium and sweep spec are built in config
 (config.default_high_order_front_end() and the rest), from the defaults the
@@ -25,10 +26,9 @@ from .elements import (
     FaradayCoil,
     ImperfectWaveplate,
     detected_intensity,
-    mount_at_45deg,
+    plate_converter_pairs,
     qwp_ideal_in,
     qwp_ideal_out,
-    qwp_imperfect,
 )
 from .errors import NumericDomainError
 from .jones import JonesMatrix
@@ -87,17 +87,18 @@ class FrontEnd:
 
         The ideal front end and a nominal plate give the printed ideal pair;
         any other plate is mounted at 45 degrees and returns through its
-        complex conjugate. A distributed medium returns through the
-        transpose of its propagation product: the same reciprocal retarder
-        chain traversed backwards.
+        complex conjugate (elements.plate_converter_pairs, which the
+        imperfection scan calls on all its plates at once). A distributed
+        medium returns through the transpose of its propagation product:
+        the same reciprocal retarder chain traversed backwards.
         """
         if self.medium is not None:
             fwd = total_matrix(self.medium, grid_for(self.medium, self.n_segments))
             return fwd, fwd.T
-        if self.waveplate is None or self.waveplate.is_nominal():
+        if self.waveplate is None:
             return qwp_ideal_in(), qwp_ideal_out()
-        fwd = mount_at_45deg(qwp_imperfect(self.waveplate))
-        return fwd, np.conj(fwd)
+        fwd, ret = plate_converter_pairs((self.waveplate,))
+        return fwd[0], ret[0]
 
 
 def front_end_imperfect(waveplate: ImperfectWaveplate) -> FrontEnd:
@@ -195,24 +196,24 @@ def run_imperfection_scan(
 ) -> ImperfectionScanResult:
     """Worst-case sweep error over a grid of plate build tolerances.
 
-    Every plate's converter pair is stacked, so the scan is one
-    detected_intensity call over plates x currents; each cell is the max
-    over the non-null currents, as run_current_sweep's max_abs_err_pct.
+    The plates' converter pairs come as one stack from
+    plate_converter_pairs, which also gives FrontEnd.converter_pair its
+    pair, so the scan is one detected_intensity call over plates x
+    currents; each cell is the max over the non-null currents, as
+    run_current_sweep's max_abs_err_pct.
     """
     if len(cut_deviations_m) == 0 or len(splice_angles_rad) == 0:
         raise ValueError("a scan needs at least one cut deviation and one splice angle")
     if currents_a is None:
         currents_a = default_current_grid()
     combos = [(d, b) for d in cut_deviations_m for b in splice_angles_rad]
-    pairs = [
-        front_end_imperfect(ImperfectWaveplate.from_cut_deviation(d, b)).converter_pair()
-        for d, b in combos
-    ]
-    fwd, ret = (np.stack(m)[:, np.newaxis] for m in zip(*pairs))
+    fwd, ret = plate_converter_pairs(
+        [ImperfectWaveplate.from_cut_deviation(d, b) for d, b in combos]
+    )
     coil = FaradayCoil.from_currents(
         float(constant("verdet_rad_per_amp_turn")), int(constant("coil_turns")), currents_a
     )
-    err = detected_intensity(coil, (fwd, ret)).relative_error_pct
+    err = detected_intensity(coil, (fwd[:, np.newaxis], ret[:, np.newaxis])).relative_error_pct
     ok = ~np.isnan(err).any(axis=0)  # fringe-null columns are NaN for every plate
     worst = np.max(np.abs(err[:, ok]), axis=1) if ok.any() else np.full(len(combos), np.nan)
     cells = tuple(ImperfectionCell(d, b, e) for (d, b), e in zip(combos, worst.tolist()))

@@ -47,6 +47,39 @@ def test_imperfect_plate_tan_form():
         assert _oracles.is_unitary(fs.qwp_imperfect(fs.ImperfectWaveplate(rho, 0.3)))
 
 
+def _scalar_plate(rho: float, beta: float) -> np.ndarray:
+    """The sine/cosine plate in Python's scalar complex arithmetic."""
+    c, s = math.cos(rho / 2), math.sin(rho / 2)
+    c2b, s2b = math.cos(2 * beta), math.sin(2 * beta)
+    return np.array(
+        [[c + 1j * s * c2b, 1j * s * s2b], [1j * s * s2b, c - 1j * s * c2b]],
+        dtype=np.complex128,
+    )
+
+
+def test_plates_round_as_python_scalar_arithmetic():
+    """qwp_imperfect, and every slice of a stacked plate build, holds the
+    bytes of the same formula evaluated one Python complex at a time,
+    signed zeros included; so does the stack mounted at 45 degrees."""
+    from focsim.elements import plate_converter_pairs
+
+    rng = np.random.default_rng(7)
+    edge = (0.0, -0.0, math.pi / 2, math.pi, -math.pi, 2 * math.pi, 1e-300, -1e-300, 1e300)
+    rhos = [*edge, *rng.uniform(-10, 10, 12)]
+    betas = [*edge[:-1], math.pi / 4, *rng.uniform(-1, 1, 6)]
+    pairs = [(rho, beta) for rho in rhos for beta in betas]
+    plates = [fs.ImperfectWaveplate(rho, beta) for rho, beta in pairs]
+    fwd, ret = plate_converter_pairs(plates)
+    mount = (fs.rotator(math.pi / 4), fs.rotator(-math.pi / 4))
+    for i, (plate, (rho, beta)) in enumerate(zip(plates, pairs)):
+        want = _scalar_plate(rho, beta)
+        assert fs.qwp_imperfect(plate).tobytes() == want.tobytes(), (rho, beta)
+        if not plate.is_nominal():
+            mounted = mount[0] @ want @ mount[1]
+            assert fwd[i].tobytes() == mounted.tobytes(), (rho, beta)
+            assert ret[i].tobytes() == np.conj(mounted).tobytes(), (rho, beta)
+
+
 def test_mounted_nominal_plate_is_ideal():
     mounted = fs.mount_at_45deg(fs.qwp_imperfect(fs.ImperfectWaveplate.nominal()))
     assert np.max(np.abs(mounted - fs.qwp_ideal_in())) < 1e-15

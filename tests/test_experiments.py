@@ -271,6 +271,68 @@ def test_imperfection_scan_matches_per_plate_sweeps(monkeypatch):
     assert all(math.isnan(g) for g in got)
 
 
+@pytest.mark.parametrize("n_cut, n_splice", [(1, 1), (1, 5), (5, 1)])
+def test_one_plate_and_one_axis_scans_match_per_plate_sweeps(n_cut, n_splice):
+    """A single plate and stacks along one tolerance axis, over currents
+    with a fringe null and over no currents at all."""
+    cut = float(constant("plate_cut_deviation_m"))
+    splice = float(constant("plate_splice_deviation_rad"))
+    null_a = (math.pi / 4) / (constant("verdet_rad_per_amp_turn") * constant("coil_turns"))
+    rng = np.random.default_rng(10 * n_cut + n_splice)
+    deviations = tuple(rng.uniform(-cut, cut, n_cut).tolist())
+    angles = tuple(rng.uniform(-splice, splice, n_splice).tolist())
+    for currents in ((0.0, 400.0, null_a, 1500.0), ()):
+        want = [
+            fs.run_current_sweep(
+                replace(
+                    fs.default_sweep_spec(
+                        fs.front_end_imperfect(fs.ImperfectWaveplate.from_cut_deviation(d, b))
+                    ),
+                    currents_a=currents,
+                )
+            ).max_abs_err_pct
+            for d in deviations
+            for b in angles
+        ]
+        scan = fs.run_imperfection_scan(deviations, angles, currents)
+        assert [(c.cut_deviation_m, c.splice_angle_rad) for c in scan.cells] == [
+            (d, b) for d in deviations for b in angles
+        ]
+        got = [c.max_abs_err_pct for c in scan.cells]
+        assert all(g == w or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want))
+        assert all(math.isnan(g) for g in got) == (currents == ())
+
+
+def test_stacked_plate_pairs_are_each_plates_own_pair():
+    """Every slice of the stacked build is byte for byte, sign bits
+    included, the pair that plate's front end gives on its own; a nominal
+    plate gives the printed ideal pair wherever it sits in the stack."""
+    from focsim.elements import plate_converter_pairs
+
+    cut = float(constant("plate_cut_deviation_m"))
+    splice = float(constant("plate_splice_deviation_rad"))
+    rng = np.random.default_rng(18)
+    plates = [
+        fs.ImperfectWaveplate.from_cut_deviation(d, b)
+        for d, b in zip(rng.uniform(-2 * cut, 2 * cut, 9), rng.uniform(-2 * splice, 2 * splice, 9))
+    ]
+    plates[4:4] = [fs.ImperfectWaveplate.nominal(), fs.ImperfectWaveplate(math.pi, 0.3)]
+    plates += [
+        fs.ImperfectWaveplate(0.0, -0.0),
+        fs.ImperfectWaveplate.from_cut_deviation(0.0),
+        fs.ImperfectWaveplate.nominal(),
+    ]
+    fwd, ret = plate_converter_pairs(plates)
+    assert fwd.shape == ret.shape == (len(plates), 2, 2)
+    printed = (fs.qwp_ideal_in().tobytes(), fs.qwp_ideal_out().tobytes())
+    for i, plate in enumerate(plates):
+        own = fs.front_end_imperfect(plate).converter_pair()
+        assert (fwd[i].tobytes(), ret[i].tobytes()) == tuple(m.tobytes() for m in own), i
+        assert ((fwd[i].tobytes(), ret[i].tobytes()) == printed) == plate.is_nominal(), i
+    one_fwd, one_ret = plate_converter_pairs([fs.ImperfectWaveplate.nominal()])
+    assert (one_fwd[0].tobytes(), one_ret[0].tobytes()) == printed
+
+
 def test_imperfection_scan_needs_both_tolerance_axes():
     for deviations, angles in (((), (0.0,)), ((0.0,), ()), ((), ())):
         with pytest.raises(ValueError, match="at least one cut deviation and one splice angle"):

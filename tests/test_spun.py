@@ -349,6 +349,94 @@ def test_uniform_spin_converges_to_the_closed_form():
         assert 1.9 <= ratio <= 2.1, (delta, xi, length)
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Item-wise products of two stacks of 2x2 matrices laid out (2, 2, n)."""
+    return np.array([[a[i, 0] * b[0, k] + a[i, 1] * b[1, k] for k in range(2)] for i in range(2)])
+
+
+def _magnus4_converter(med, theta, n: int) -> np.ndarray:
+    """Continuum Jones matrix of a medium whose axes turn as theta(z), by n
+    (a power of two) steps of the 4th-order commutator Magnus integrator
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009). dJ/dz = A(z) J with
+    the lab-frame generator A(z) = (i delta / 2) R(theta) s_z R(-theta),
+    taken at the two Gauss points of each step:
+
+    Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1],
+    exp Omega = cosh s I + (sinh s / s) Omega,  s^2 = -det Omega,
+
+    and the steps reduced by a pairwise tree, later steps on the left.
+    Every matrix is typed in here; nothing comes from focsim.spun.
+    """
+    h = med.total_length_m / n
+    sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]])[:, :, np.newaxis]
+
+    def generator(z):
+        c, s = np.cos(theta(z)), np.sin(theta(z))
+        rot = np.array([[c, -s], [s, c]])
+        return 0.5j * med.delta_rad_per_m * _mul(_mul(rot, sigma_z), rot.transpose(1, 0, 2))
+
+    mid = (np.arange(n) + 0.5) * h
+    a1 = generator(mid - h / (2 * math.sqrt(3)))
+    a2 = generator(mid + h / (2 * math.sqrt(3)))
+    omega = 0.5 * h * (a1 + a2) + (math.sqrt(3) / 12) * h * h * (_mul(a2, a1) - _mul(a1, a2))
+    s = np.sqrt(omega[0, 1] * omega[1, 0] - omega[0, 0] * omega[1, 1])
+    m = np.sinh(s) / s * omega
+    m[0, 0] += np.cosh(s)
+    m[1, 1] += np.cosh(s)
+    while m.shape[-1] > 1:
+        m = _mul(m[..., 1::2], m[..., 0::2])
+    return m[..., 0]
+
+
+def test_ramped_medium_converges_to_the_magnus_oracle():
+    """On the default high_order_qwp (cosine ramp, xi/delta = 10), against a
+    4th-order continuum oracle: the oracle refines at 4th order, the
+    midpoint rule at 2nd, and the default left rule is still short of its
+    first-order halving at 200k to 800k segments. The sweep error at the
+    default grid reads about 8% below the one behind the oracle's converter.
+    """
+    fe = fs.default_high_order_front_end()
+    med = fe.medium
+    p = med.profile
+    assert p.kind == "cosine" and fe.n_segments == 200_000
+    l1, l2, xi = p.lead_in_l1_m, p.transition_l2_m, p.xi_max_rad_per_m
+
+    def theta(z):
+        u = np.clip(z - l1, 0.0, l2)
+        ramp = xi * (0.5 * u - (0.5 * l2 / math.pi) * np.sin(math.pi * u / l2))
+        return ramp + xi * np.clip(z - l1 - l2, 0.0, None)
+
+    want = _magnus4_converter(med, theta, 1 << 18)
+    assert np.max(np.abs(want.conj().T @ want - np.eye(2))) < 1e-10
+    devs = [
+        np.max(np.abs(_magnus4_converter(med, theta, 1 << k) - want)) for k in (14, 15, 16, 17)
+    ]
+    assert 9e-6 <= devs[0] <= 1.1e-5
+    assert all(15.0 <= a / b <= 18.0 for a, b in zip(devs, devs[1:])), devs
+
+    counts = (200_000, 400_000, 800_000)
+    # the left rule's ratios climb towards 2 from below
+    for rule, first, bands in (
+        ("left", 3.53e-4, ((1.80, 1.89), (1.89, 1.97))),
+        ("midpoint", 6.19e-5, ((3.9, 4.1), (3.9, 4.1))),
+    ):
+        devs = [
+            float(np.max(np.abs(total_matrix(med, grid_for(med, n), angle_rule=rule) - want)))
+            for n in counts
+        ]
+        assert 0.97 * first <= devs[0] <= 1.03 * first, (rule, devs)
+        ratios = [a / b for a, b in zip(devs, devs[1:])]
+        assert all(lo <= r <= hi for r, (lo, hi) in zip(ratios, bands)), (rule, ratios)
+
+    spec = fs.default_sweep_spec(fe)
+    default = fs.run_current_sweep(spec).max_abs_err_pct
+    coil = fs.FaradayCoil.from_currents(spec.verdet_rad_per_amp_turn, spec.turns, spec.currents_a)
+    err = fs.detected_intensity(coil, (want, want.T)).relative_error_pct
+    behind_oracle = float(np.nanmax(np.abs(err)))
+    assert 0.0181 <= behind_oracle <= 0.0183
+    assert 0.07 <= 1.0 - default / behind_oracle <= 0.09
+
+
 # ---- trajectories and stability metrics ----
 
 

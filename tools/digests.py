@@ -16,8 +16,8 @@ The cases:
   counts on and around spun's block, sub-block and chunk sizes;
 * run_current_sweep columns behind seeded plates, over currents that
   include fringe nulls, and behind both distributed front ends;
-* seeded 8 x 8 and 5 x 4 imperfection scans: their cells, and the
-  detected intensities of their stacked plates;
+* seeded 8 x 8, 5 x 4, 1 x 1 and 1 x 7 imperfection scans: their cells,
+  and the detected intensities of their stacked plates;
 * every CLI subcommand, in CSV and JSON, with small segment counts.
 
 A digest of BLAS products can differ between CPUs and BLAS builds, so this
@@ -133,6 +133,9 @@ def scan_cases(fs):
     null = (math.pi / 4) / (spec.verdet_rad_per_amp_turn * spec.turns)
     yield "scan/8x8", functools.partial(_scan, fs, 8, 8, 0, None)
     yield "scan/5x4", functools.partial(_scan, fs, 5, 4, 1, (0.0, 250.0, null, 1000.0, 2000.0, 3 * null))
+    # a single plate, and a stack along one axis
+    yield "scan/1x1", functools.partial(_scan, fs, 1, 1, 2, None)
+    yield "scan/1x7", functools.partial(_scan, fs, 1, 7, 3, (0.0, null, 1500.0, 2000.0))
 
 
 _IMPERFECT = {"front_end": {"kind": "imperfect_qwp", "cut_deviation_m": 3e-4, "splice_angle_rad": -0.02}}
