@@ -39,7 +39,6 @@ from .errors import (
     ConfigError,
     EmptyWindowError,
     FocsimError,
-    FringeNullError,
     NumericDomainError,
 )
 from .experiments import (
@@ -49,7 +48,6 @@ from .experiments import (
     PerturbationResult,
     SweepResult,
     XiSweepResult,
-    default_current_grid,
     device_delta,
     front_end_high_order,
     front_end_imperfect,
@@ -100,7 +98,6 @@ __all__ = [
     "ConfigError",
     "EmptyWindowError",
     "FocsimError",
-    "FringeNullError",
     "NumericDomainError",
     "ConvergenceResult",
     "CurrentSweepSpec",
@@ -108,7 +105,6 @@ __all__ = [
     "PerturbationResult",
     "SweepResult",
     "XiSweepResult",
-    "default_current_grid",
     "default_demo_medium",
     "default_high_order_front_end",
     "default_spun_front_end",

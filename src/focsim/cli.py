@@ -22,7 +22,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 
 from .config import AppConfig, default_config, load_config, parse_config, serialize_config
-from .errors import ConfigError, FocsimError, FringeNullError, NumericDomainError
+from .errors import ConfigError, FocsimError, NumericDomainError
 from .experiments import (
     ConvergenceRow,
     SweepResult,
@@ -53,7 +53,7 @@ def _simulate(cfg: AppConfig) -> ResultTable:
     res, table = _current_table(cfg, (cfg.coil.current_a,))
     if res.n_fringe_null:
         f = float(res.faraday_rad[0])
-        raise FringeNullError(
+        raise NumericDomainError(
             f"current_a={cfg.coil.current_a}: ideal fringe vanishes at F={f!r} rad"
         )
     return table

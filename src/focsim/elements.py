@@ -66,29 +66,19 @@ def qwp_ideal_out() -> JonesMatrix:
 
 @dataclass(frozen=True)
 class ImperfectWaveplate:
-    """Fabrication state of a discrete quarter-wave plate.
-
-    rho_rad is the actual retardation, beta_rad the splice (axis alignment)
-    error. The optional physical triple records where rho came from; when
-    present it must reproduce rho_rad through 2 pi delta_n length / lambda.
+    """Fabrication state of a discrete quarter-wave plate, the deviation
+    model's two numbers: rho_rad is the actual retardation, beta_rad the
+    splice (axis alignment) error. from_physical and from_cut_deviation
+    derive rho from material and geometry; the plate keeps only rho.
     """
 
     rho_rad: float
     beta_rad: float
-    delta_n: float | None = None
-    cut_length_m: float | None = None
-    wavelength_m: float | None = None
 
     def __post_init__(self):
         # finite plate keys can still overflow the retardation or 2 beta
         if not (math.isfinite(self.rho_rad) and math.isfinite(2 * self.beta_rad)):
             raise NumericDomainError("plate retardation or splice angle is not finite")
-        if None not in (self.delta_n, self.cut_length_m, self.wavelength_m):
-            implied = 2 * math.pi * self.delta_n * self.cut_length_m / self.wavelength_m
-            if abs(implied - self.rho_rad) > 1e-12 * max(1.0, abs(self.rho_rad)):
-                raise ValueError(
-                    "stored rho_rad disagrees with the physical parameters"
-                )
 
     @classmethod
     def from_physical(
@@ -100,7 +90,7 @@ class ImperfectWaveplate:
     ) -> "ImperfectWaveplate":
         """Build from material and geometry: rho = 2 pi delta_n d / lambda."""
         rho = 2 * math.pi * delta_n * cut_length_m / wavelength_m
-        return cls(rho, beta_rad, delta_n, cut_length_m, wavelength_m)
+        return cls(rho, beta_rad)
 
     @classmethod
     def from_cut_deviation(
@@ -282,10 +272,6 @@ def roundtrip_fields(
     return m.reshape(np.shape(q_in)[:-3] + (n, 2, 2))[..., 0]
 
 
-def _ideal_pair() -> tuple[JonesMatrix, JonesMatrix]:
-    return qwp_ideal_in(), qwp_ideal_out()
-
-
 def _intensities(fields: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
     """abs(ex) ** 2 + abs(ey) ** 2 of every field, bit for bit as Python
     computes it per value.
@@ -306,19 +292,20 @@ def _intensities(fields: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
 
 
 def detected_intensity(
-    coil: FaradayCoil, converter: tuple[JonesMatrix, JonesMatrix] | None = None
+    coil: FaradayCoil, converter: tuple[JonesMatrix, JonesMatrix]
 ) -> IntensityResult:
     """Detected intensity and its relative error against the numeric ideal chain.
 
     converter is a (forward, return) pair, as FrontEnd.converter_pair()
-    gives; None means the ideal printed pair. Every field of the result is
-    an array over the coil's angles, and fringe-null rows hold NaN in i_out
+    gives; the reference is the chain behind the printed pair
+    (qwp_ideal_in(), qwp_ideal_out()). Every field of the result is an
+    array over the coil's angles, and fringe-null rows hold NaN in i_out
     and relative_error_pct. A converter pair stacked as (P, 1, 2, 2) gives
     (P, n) arrays of those two against one evaluation of the ideal chain.
     """
     f = coil.rotation_angle_f_rad
-    i_out = _intensities(roundtrip_fields(converter or _ideal_pair(), f))
-    i_ideal = _intensities(roundtrip_fields(_ideal_pair(), f))
+    i_out = _intensities(roundtrip_fields(converter, f))
+    i_ideal = _intensities(roundtrip_fields((qwp_ideal_in(), qwp_ideal_out()), f))
     null = i_ideal < FRINGE_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         err = (i_out - i_ideal) / i_ideal * 100.0

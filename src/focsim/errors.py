@@ -1,8 +1,10 @@
 """Exception taxonomy.
 
-Numeric-domain failures (fringe nulls, empty metric windows) are kept
+Numeric-domain failures (a fringe null at a simulated current, an
+overflowing or underflowing model value, an empty metric window) are kept
 distinct from configuration mistakes so the CLI can map them to different
-exit codes.
+exit codes: ConfigError exits 2, NumericDomainError 3. Only the empty
+window has its own subclass.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ class ConfigError(FocsimError):
 
 class NumericDomainError(FocsimError):
     """A parameter landed where the model's formulas are undefined."""
-
-
-class FringeNullError(NumericDomainError):
-    """Relative error undefined: the ideal interference fringe vanishes here."""
 
 
 class EmptyWindowError(NumericDomainError):

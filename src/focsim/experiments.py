@@ -113,12 +113,6 @@ def front_end_high_order(medium: SpunMediumSpec, n_segments: int) -> FrontEnd:
     return FrontEnd(kind="high_order_qwp", medium=medium, n_segments=n_segments)
 
 
-def default_current_grid() -> npt.NDArray[np.float64]:
-    return np.linspace(
-        0.0, float(constant("current_max_a")), int(constant("current_points"))
-    )
-
-
 def device_delta() -> float:
     """Linear birefringence rate of the front-end fiber, rad/m."""
     return (
@@ -205,7 +199,9 @@ def run_imperfection_scan(
     if len(cut_deviations_m) == 0 or len(splice_angles_rad) == 0:
         raise ValueError("a scan needs at least one cut deviation and one splice angle")
     if currents_a is None:
-        currents_a = default_current_grid()
+        currents_a = np.linspace(
+            0.0, float(constant("current_max_a")), int(constant("current_points"))
+        )
     combos = [(d, b) for d in cut_deviations_m for b in splice_angles_rad]
     fwd, ret = plate_converter_pairs(
         [ImperfectWaveplate.from_cut_deviation(d, b) for d, b in combos]
@@ -251,9 +247,7 @@ def run_xi_sweep(
         profile = replace(
             base_medium.profile, xi_max_rad_per_m=ratio * base_medium.delta_rad_per_m
         )
-        medium = SpunMediumSpec(
-            base_medium.total_length_m, base_medium.delta_rad_per_m, profile
-        )
+        medium = replace(base_medium, profile=profile)
         traj = propagate_trajectory(medium, grid_for(medium, n_segments))
         settled = stability_metrics(traj)
         return XiSweepRow(
@@ -310,7 +304,8 @@ def run_perturbation_study(
     """Ripple sensitivity to wavelength and temperature drift.
 
     The spin profile is fabricated geometry and never moves; only the
-    birefringence rate responds to the environment. Each axis reports the
+    birefringence rate responds to the environment, so each drifted medium
+    is the given one with delta_rad_per_m replaced. Each axis reports the
     worse of its two extremes, so an increase on one side is not masked by
     a decrease on the other.
     """
@@ -329,7 +324,7 @@ def run_perturbation_study(
     d0 = medium.delta_rad_per_m
 
     def metrics_at(delta: float) -> StabilityMetrics:
-        m = medium.with_delta(delta)
+        m = replace(medium, delta_rad_per_m=delta)
         return stability_metrics(propagate_trajectory(m, grid_for(m, n_segments)))
 
     jobs = [

@@ -125,14 +125,6 @@ class SpunMediumSpec:
             return self.profile.lead_in_l1_m + self.profile.transition_l2_m
         return 0.0
 
-    def with_delta(self, delta_rad_per_m: float) -> "SpunMediumSpec":
-        """Same fabricated geometry under a different birefringence.
-
-        The spin profile is frozen into the fiber when it is drawn, so
-        environmental drift rescales delta only, never xi(z).
-        """
-        return SpunMediumSpec(self.total_length_m, delta_rad_per_m, self.profile)
-
 
 @dataclass(frozen=True)
 class PropagationGrid:
@@ -196,8 +188,12 @@ def _segment_pairs(
     # a finite spin rate can still overflow theta over the length
     if not np.isfinite(theta).all():
         raise NumericDomainError("spin angle is not finite")
+    half = 0.5 * spec.delta_rad_per_m * dz
+    # and a finite rate times a finite length can overflow the retardation
+    if not math.isfinite(half):
+        raise NumericDomainError("segment retardation is not finite")
     c, s = np.cos(theta), np.sin(theta)
-    ep = complex(math.cos(0.5 * spec.delta_rad_per_m * dz), math.sin(0.5 * spec.delta_rad_per_m * dz))
+    ep = complex(math.cos(half), math.sin(half))
     em = ep.conjugate()
     return ep * c * c + em * s * s, (ep - em) * c * s
 
@@ -279,11 +275,6 @@ class EllipticityTrajectory:
         """Whole-trajectory peak-to-peak fluctuation."""
         return float(np.nanmax(self.epsilon) - np.nanmin(self.epsilon))
 
-    @property
-    def rms_eps(self) -> float:
-        """Whole-trajectory RMS deviation from the mean."""
-        return stability_metrics(self, window=(float(self.z_m[0]), float(self.z_m[-1]))).rms_eps
-
 
 def _eps_from_states(
     ex: npt.NDArray[np.complex128], ey: npt.NDArray[np.complex128], metric_kind: MetricKind
@@ -334,7 +325,13 @@ def propagate_trajectory(
     The scan applies the same segment matrices as total_matrix in the same
     order but groups the products differently, so its final state agrees
     with total_matrix(spec, grid) @ e_in to rounding, not bit for bit.
+    A segment length so small that the z samples repeat raises
+    NumericDomainError before the scan.
     """
+    z = grid.z_samples()
+    # dz > 0 is not enough: linspace over a few subnormals repeats values
+    if (z[1:] <= z[:-1]).any():
+        raise NumericDomainError("segment length underflows: z samples repeat")
     if e_in is None:
         e_in = jones_vector(1.0, 0.0)
     n = grid.n_segments
@@ -366,7 +363,7 @@ def propagate_trajectory(
         blk, j = divmod(take - 1, width)
         x, y = complex(ex[j, blk]), complex(ey[j, blk])
     return EllipticityTrajectory(
-        z_m=grid.z_samples(),
+        z_m=z,
         epsilon=eps,
         metric_kind=metric_kind,
         settle_z_m=min(spec.settle_z_m, spec.total_length_m),

@@ -169,12 +169,46 @@ def test_trajectory_rows_match_the_library_scan(capsys):
 
 def test_overflowing_finite_configs_exit_3(tmp_path):
     # every key passes its own check, but the model overflows: the Faraday
-    # angle verdet*turns*current, the spin angle theta(z), or a plate's
-    # retardation or doubled splice angle
+    # angle verdet*turns*current, the spin angle theta(z), a segment's
+    # retardation, or a plate's retardation or doubled splice angle; or it
+    # underflows: the segment length
     cases = {
         "verdet.json": ({"coil": {"verdet_rad_per_amp_turn": 1e308}}, ("simulate", "sweep-current")),
         "xi.json": ({"medium": {"profile": {"xi_over_delta": 1e308}}}, ("trajectory", "converge")),
     }
+    # a finite birefringence rate times a finite segment length: the
+    # segment retardation overflows, with theta(z) kept finite (no spin)
+    long = {"total_length_m": 1e308, "profile": {"xi_over_delta": 0.0}}
+    cases["retardation.json"] = (
+        {
+            "medium": long,
+            "trajectory": {"n_segments": 1},
+            "xi_sweep": {"n_segments": 1, "ratios": [0.0]},
+            "perturbation": {"n_segments": 1},
+            "convergence": {"segment_counts": [10, 20], "reference_n": 40},
+        },
+        ("trajectory", "sweep-xi", "perturb", "converge"),
+    )
+    cases["retardation_front_end.json"] = (
+        {"front_end": {"kind": "spun_fiber", "n_segments": 1, "medium": long}},
+        ("simulate", "sweep-current"),
+    )
+    cases["temperature.json"] = (
+        {"medium": {"beat_length_m": 1e-5}, "perturbation": {"temperature_excursion_c": 1e308}},
+        ("perturb",),
+    )
+    # a segment length that underflows: the z samples repeat, at dz = 0 and
+    # at dz = 5e-324 > 0 (linspace over three subnormals repeats its end)
+    for length, n in ((5e-324, 64), (1.5e-323, 4)):
+        cases[f"underflow{n}.json"] = (
+            {
+                "medium": {"total_length_m": length, "profile": {"transition_l2_m": length}},
+                "trajectory": {"n_segments": n},
+                "xi_sweep": {"n_segments": n},
+                "perturbation": {"n_segments": n},
+            },
+            ("trajectory", "sweep-xi", "perturb"),
+        )
     for key in ("cut_deviation_m", "splice_angle_rad"):
         for value in (1e308, -1e308):
             plate = {"front_end": {"kind": "imperfect_qwp", key: value}}

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -340,6 +340,24 @@ def test_imperfection_scan_needs_both_tolerance_axes():
     scan = fs.run_imperfection_scan((0.0, 1e-4), (0.0,), ())  # no currents: NaN cells
     assert len(scan.cells) == 2
     assert all(math.isnan(c.max_abs_err_pct) for c in scan.cells)
+
+
+def test_scan_default_grid_is_the_cli_default_grid():
+    """Without currents, the scan sweeps the grid the CLI's current sweep
+    defaults to: every cell is bit for bit the one that grid gives."""
+    from focsim.config import default_config
+
+    cut = float(constant("plate_cut_deviation_m"))
+    splice = float(constant("plate_splice_deviation_rad"))
+    rng = np.random.default_rng(19)
+    deviations = (0.0, *rng.uniform(-cut, cut, 3).tolist())
+    angles = (0.0, *rng.uniform(-splice, splice, 2).tolist())
+    currents = default_config().sweep_spec().currents_a
+    got = fs.run_imperfection_scan(deviations, angles)
+    want = fs.run_imperfection_scan(deviations, angles, currents)
+    cell_bytes = [np.array(astuple(c)).tobytes() for c in got.cells]
+    assert cell_bytes == [np.array(astuple(c)).tobytes() for c in want.cells]
+    assert np.array(got.worst_err_pct).tobytes() == np.array(want.worst_err_pct).tobytes()
 
 
 def test_xi_sweep_matches_frozen_cells(xi_table):

@@ -149,7 +149,7 @@ def test_medium_validation():
 
 def test_with_delta_keeps_the_fabricated_profile():
     med = DEMO
-    moved = med.with_delta(med.delta_rad_per_m * 1.02)
+    moved = dataclasses.replace(med, delta_rad_per_m=med.delta_rad_per_m * 1.02)
     assert moved.profile is med.profile
     assert moved.total_length_m == med.total_length_m
     assert moved.delta_rad_per_m == med.delta_rad_per_m * 1.02
