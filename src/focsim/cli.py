@@ -147,13 +147,15 @@ def _converge(cfg: AppConfig) -> ResultTable:
     )
 
 
-_RUNNERS = {
-    "simulate": _simulate,
-    "trajectory": _trajectory,
-    "sweep-current": _sweep_current,
-    "sweep-xi": _sweep_xi,
-    "perturb": _perturb,
-    "converge": _converge,
+# each subcommand's help text and runner; print-config has no runner
+_COMMANDS = {
+    "simulate": ("one round trip at one current", _simulate),
+    "trajectory": ("ellipticity along the medium", _trajectory),
+    "sweep-current": ("detected intensity vs current", _sweep_current),
+    "sweep-xi": ("ripple vs spin-rate ratio", _sweep_xi),
+    "perturb": ("wavelength/temperature drift study", _perturb),
+    "converge": ("grid refinement report", _converge),
+    "print-config": ("emit the fully resolved configuration", None),
 }
 
 
@@ -166,16 +168,6 @@ def _csv_list(cast):
 
     return parse
 
-
-_HELP = {
-    "simulate": "one round trip at one current",
-    "trajectory": "ellipticity along the medium",
-    "sweep-current": "detected intensity vs current",
-    "sweep-xi": "ripple vs spin-rate ratio",
-    "perturb": "wavelength/temperature drift study",
-    "converge": "grid refinement report",
-    "print-config": "emit the fully resolved configuration",
-}
 
 # (subcommand, flag, argument type, the config key the flag sets). The flags
 # of a run form a partial config document read over the loaded config, so a
@@ -213,7 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
-        name: sub.add_parser(name, parents=[common], help=text) for name, text in _HELP.items()
+        name: sub.add_parser(name, parents=[common], help=text)
+        for name, (text, _) in _COMMANDS.items()
     }
     for command, flag, cast, key in _FLAGS:
         commands[command].add_argument(
@@ -251,10 +244,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else default_config()
         cfg = parse_config(_flag_document(args), base=cfg)
-        if args.command == "print-config":
+        run = _COMMANDS[args.command][1]
+        if run is None:
             pieces = (serialize_config(cfg),)
         else:
-            pieces = render_pieces(_RUNNERS[args.command](cfg), args.format)
+            pieces = render_pieces(run(cfg), args.format)
         # the table is formatted while it is written, so a failed allocation
         # or write can leave part of it behind
         _write_out(pieces, args.out)

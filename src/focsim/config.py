@@ -39,9 +39,9 @@ import numpy as np
 
 from .constants import ASSUMED_CONSTANTS, SCHEMA_VERSION, constant
 from .errors import ConfigError
-from .experiments import CurrentSweepSpec, FrontEnd
+from .experiments import FRONT_END_KINDS, CurrentSweepSpec, FrontEnd
 from .elements import ImperfectWaveplate
-from .spun import PROFILE_KINDS, SpinProfile, SpunMediumSpec
+from .spun import METRIC_KINDS, PROFILE_KINDS, SpinProfile, SpunMediumSpec
 
 
 # ------------------------------------------------------------------ checks
@@ -123,7 +123,7 @@ def _schema_version(v, path: str) -> str:
 
 _positive = _length(True)
 _non_negative = _length(False)
-_front_end_kind = _one_of(("ideal", "imperfect_qwp", "spun_fiber", "high_order_qwp"))
+_front_end_kind = _one_of(FRONT_END_KINDS)
 
 
 def _key(check, default=MISSING):
@@ -225,7 +225,7 @@ class CoilConfig:
 @dataclass(frozen=True)
 class TrajectoryConfig:
     n_segments: int = _key(_integer(1))
-    metric_kind: str = _key(_one_of(("principal", "axis_ratio")))
+    metric_kind: str = _key(_one_of(METRIC_KINDS))
     stride: int = _key(_integer(1))
 
 

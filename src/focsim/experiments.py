@@ -43,6 +43,7 @@ from .spun import (
 )
 
 RIPPLE_FLAG_PP = 0.01  # settled ripple above this flags an xi-sweep row
+FRONT_END_KINDS = ("ideal", "imperfect_qwp", "spun_fiber", "high_order_qwp")
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,7 @@ def run_xi_sweep(
             delta_eps_pp_settled=settled.delta_eps_pp,
             rms_eps_settled=settled.rms_eps,
             mean_eps_settled=settled.mean_eps,
-            delta_eps_pp_full=traj.delta_eps_pp,
+            delta_eps_pp_full=float(np.nanmax(traj.epsilon) - np.nanmin(traj.epsilon)),
             conversion_length_m=conversion_length(traj),
             ripple_flagged=settled.delta_eps_pp > RIPPLE_FLAG_PP,
         )
@@ -298,8 +299,8 @@ def delta_at_temperature(delta0: float, temperature_c: float) -> float:
 def run_perturbation_study(
     medium: SpunMediumSpec,
     n_segments: int,
-    wavelength_drift_m: float | None = None,
-    temperature_excursion_c: float | None = None,
+    wavelength_drift_m: float,
+    temperature_excursion_c: float,
 ) -> PerturbationResult:
     """Ripple sensitivity to wavelength and temperature drift.
 
@@ -307,19 +308,11 @@ def run_perturbation_study(
     birefringence rate responds to the environment, so each drifted medium
     is the given one with delta_rad_per_m replaced. Each axis reports the
     worse of its two extremes, so an increase on one side is not masked by
-    a decrease on the other.
+    a decrease on the other. The drift and the excursion have no defaults
+    here: PerturbationConfig turns the constants into the run's defaults.
     """
     lam0 = float(constant("wavelength_m"))
-    dlam = (
-        wavelength_drift_m
-        if wavelength_drift_m is not None
-        else float(constant("wavelength_drift_m"))
-    )
-    dtemp = (
-        temperature_excursion_c
-        if temperature_excursion_c is not None
-        else float(constant("temperature_excursion_c"))
-    )
+    dlam, dtemp = wavelength_drift_m, temperature_excursion_c
     t0 = float(constant("reference_temperature_c"))
     d0 = medium.delta_rad_per_m
 

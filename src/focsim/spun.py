@@ -25,7 +25,8 @@ conj(alpha)]], and a blocked scan over fixed-size blocks computes each
 block's total, carries the state across the block totals in order, then
 propagates it through every block at once. Chunk, sub-block and block
 sizes are constants, so results are bit-reproducible regardless of
-platform thread settings.
+platform thread settings. The scan fills the epsilon array of a record
+built before it, so the record checks the z samples once.
 """
 
 from __future__ import annotations
@@ -50,7 +51,10 @@ _SUB = 1 << 14
 
 ProfileKind = Literal["linear", "cosine", "constant"]
 PROFILE_KINDS: tuple[str, ...] = get_args(ProfileKind)
+AngleRule = Literal["left", "midpoint"]
+ANGLE_RULES: tuple[str, ...] = get_args(AngleRule)
 MetricKind = Literal["principal", "axis_ratio"]
+METRIC_KINDS: tuple[str, ...] = get_args(MetricKind)
 
 
 @dataclass(frozen=True)
@@ -111,14 +115,6 @@ class SpunMediumSpec:
                 raise ValueError("medium shorter than lead-in plus transition")
 
     @property
-    def beat_length_m(self) -> float:
-        return 2 * math.pi / self.delta_rad_per_m
-
-    @property
-    def xi_over_delta(self) -> float:
-        return self.profile.xi_max_rad_per_m / self.delta_rad_per_m
-
-    @property
     def settle_z_m(self) -> float:
         """Start of the post-transition region."""
         if self.profile.kind in ("linear", "cosine"):
@@ -138,10 +134,6 @@ class PropagationGrid:
             raise ValueError("need at least one segment")
         if self.total_length_m <= 0.0:
             raise ValueError("grid length must be positive")
-
-    @property
-    def dz_m(self) -> float:
-        return self.total_length_m / self.n_segments
 
     def z_samples(self) -> npt.NDArray[np.float64]:
         """The n_segments + 1 state positions, 0 through L inclusive."""
@@ -174,13 +166,15 @@ def _segment_pairs(
     n: int,
     lo: int,
     hi: int,
-    angle_rule: str,
+    angle_rule: AngleRule,
 ) -> tuple[npt.NDArray[np.complex128], npt.NDArray[np.complex128]]:
     """SU(2) pairs (alpha, beta) of segments lo..hi-1.
 
     Segment k's matrix is [[alpha, beta], [beta, conj(alpha)]]; beta is
     purely imaginary, so the upper-right entry equals -conj(beta).
     """
+    if angle_rule not in ANGLE_RULES:
+        raise ValueError(f"unknown angle rule {angle_rule!r}")
     dz = spec.total_length_m / n
     offset = 0.5 if angle_rule == "midpoint" else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,7 +197,7 @@ def _segment_block(
     n: int,
     lo: int,
     hi: int,
-    angle_rule: str,
+    angle_rule: AngleRule,
 ) -> npt.NDArray[np.complex128]:
     alpha, beta = _segment_pairs(spec, n, lo, hi, angle_rule)
     m = np.empty((hi - lo, 2, 2), dtype=np.complex128)
@@ -236,7 +230,7 @@ def _chunks(spec: SpunMediumSpec, grid: PropagationGrid) -> Iterator[tuple[int, 
 def total_matrix(
     spec: SpunMediumSpec,
     grid: PropagationGrid,
-    angle_rule: Literal["left", "midpoint"] = "left",
+    angle_rule: AngleRule = "left",
 ) -> JonesMatrix:
     """Ordered product of all segment matrices over the grid."""
     n = grid.n_segments
@@ -257,6 +251,8 @@ class EllipticityTrajectory:
     epsilon holds |minor/major| per sample; gap markers (NaN) appear only
     where the axis-ratio formula is undefined. settle_z_m carries the
     post-transition boundary so metric windows can default correctly.
+    The z samples are checked here, once, as neighbouring pairs, so a
+    repeated value (+inf included) raises ValueError.
     """
 
     z_m: npt.NDArray[np.float64]
@@ -267,13 +263,8 @@ class EllipticityTrajectory:
     def __post_init__(self):
         if len(self.z_m) != len(self.epsilon):
             raise ValueError("z and epsilon lengths differ")
-        if np.any(np.diff(self.z_m) <= 0.0):
+        if (self.z_m[1:] <= self.z_m[:-1]).any():
             raise ValueError("z samples must strictly increase")
-
-    @property
-    def delta_eps_pp(self) -> float:
-        """Whole-trajectory peak-to-peak fluctuation."""
-        return float(np.nanmax(self.epsilon) - np.nanmin(self.epsilon))
 
 
 def _eps_from_states(
@@ -318,25 +309,35 @@ def propagate_trajectory(
     grid: PropagationGrid,
     e_in: JonesVector | None = None,
     metric_kind: MetricKind = "principal",
-    angle_rule: Literal["left", "midpoint"] = "left",
+    angle_rule: AngleRule = "left",
 ) -> EllipticityTrajectory:
     """State scan over the grid, recording ellipticity at every position.
 
     The scan applies the same segment matrices as total_matrix in the same
     order but groups the products differently, so its final state agrees
     with total_matrix(spec, grid) @ e_in to rounding, not bit for bit.
-    A segment length so small that the z samples repeat raises
-    NumericDomainError before the scan.
+    The returned record is built before the scan, which fills its epsilon
+    in place, so its z check is the only one: a segment length so small
+    that the z samples repeat raises NumericDomainError before the scan.
+    An unknown metric kind or angle rule raises ValueError.
     """
-    z = grid.z_samples()
-    # dz > 0 is not enough: linspace over a few subnormals repeats values
-    if (z[1:] <= z[:-1]).any():
-        raise NumericDomainError("segment length underflows: z samples repeat")
+    if metric_kind not in METRIC_KINDS:
+        raise ValueError(f"unknown metric kind {metric_kind!r}")
+    n = grid.n_segments
+    try:
+        traj = EllipticityTrajectory(
+            z_m=grid.z_samples(),
+            epsilon=np.empty(n + 1, dtype=np.float64),
+            metric_kind=metric_kind,
+            settle_z_m=min(spec.settle_z_m, spec.total_length_m),
+        )
+    except ValueError as exc:
+        # dz > 0 is not enough: linspace over a few subnormals repeats values
+        raise NumericDomainError("segment length underflows: z samples repeat") from exc
     if e_in is None:
         e_in = jones_vector(1.0, 0.0)
-    n = grid.n_segments
     e = np.asarray(e_in, dtype=np.complex128)
-    eps = np.empty(n + 1, dtype=np.float64)
+    eps = traj.epsilon
     eps[0] = _eps_from_states(e[:1], e[1:], metric_kind)[0]
     x, y = complex(e[0]), complex(e[1])
     for lo, hi in _chunks(spec, grid):
@@ -362,12 +363,7 @@ def propagate_trajectory(
         eps[lo + 1 : hi + 1] = _eps_from_states(ex, ey, metric_kind).T.ravel()[:take]
         blk, j = divmod(take - 1, width)
         x, y = complex(ex[j, blk]), complex(ey[j, blk])
-    return EllipticityTrajectory(
-        z_m=z,
-        epsilon=eps,
-        metric_kind=metric_kind,
-        settle_z_m=min(spec.settle_z_m, spec.total_length_m),
-    )
+    return traj
 
 
 @dataclass(frozen=True)

@@ -68,5 +68,10 @@ def xi_table():
 def perturbation_result():
     """Default-medium drift study at the campaign grid size, with build time."""
     start = time.perf_counter()
-    res = fs.run_perturbation_study(fs.default_demo_medium(), CAMPAIGN_SEGMENTS)
+    res = fs.run_perturbation_study(
+        fs.default_demo_medium(),
+        CAMPAIGN_SEGMENTS,
+        float(fs.constant("wavelength_drift_m")),
+        float(fs.constant("temperature_excursion_c")),
+    )
     return res, time.perf_counter() - start

@@ -454,7 +454,8 @@ def test_failed_allocation_exits_3_without_a_traceback(capsys, monkeypatch):
         def runner(cfg, exc=exc):
             raise exc
 
-        monkeypatch.setitem(cli._RUNNERS, "trajectory", runner)
+        help_text = cli._COMMANDS["trajectory"][0]
+        monkeypatch.setitem(cli._COMMANDS, "trajectory", (help_text, runner))
         code, out, err = run_main(capsys, "trajectory")
         assert (code, out) == (3, ""), err
         assert err == f"focsim: out of memory: {text}\n"

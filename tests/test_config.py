@@ -152,7 +152,7 @@ def test_front_end_kinds_parse_and_build():
     fe = cfg.front_end.build()
     assert fe.kind == "high_order_qwp"
     assert fe.medium.profile.kind == "cosine"
-    assert fe.medium.beat_length_m == pytest.approx(
+    assert 2 * math.pi / fe.medium.delta_rad_per_m == pytest.approx(
         constant("wavelength_m") / constant("birefringence_delta_n"), rel=1e-15
     )
     assert fe.n_segments == int(constant("front_end_segments"))
@@ -247,4 +247,4 @@ def test_medium_config_builds_consistent_delta():
     cfg = parse_config({"medium": {"beat_length_m": 0.02}})
     med = cfg.medium.build()
     assert med.delta_rad_per_m == pytest.approx(2.0 * math.pi / 0.02, rel=1e-15)
-    assert med.beat_length_m == pytest.approx(0.02, rel=1e-15)
+    assert 2 * math.pi / med.delta_rad_per_m == pytest.approx(0.02, rel=1e-15)

@@ -410,7 +410,12 @@ def test_perturbation_study_rejects_a_zero_base_ripple():
     med = fs.default_demo_medium()
     unspun = replace(med, profile=replace(med.profile, xi_max_rad_per_m=0.0))
     with pytest.raises(fs.NumericDomainError, match="base ripple is zero"):
-        fs.run_perturbation_study(unspun, 2000)
+        fs.run_perturbation_study(
+            unspun,
+            2000,
+            float(constant("wavelength_drift_m")),
+            float(constant("temperature_excursion_c")),
+        )
 
 
 def test_convergence_ratios_reject_a_zero_deviation():
@@ -477,12 +482,14 @@ def test_default_front_end_geometry():
     ho = fs.default_high_order_front_end()
     assert ho.kind == "high_order_qwp"
     assert ho.medium.profile.kind == "cosine"
-    assert ho.medium.xi_over_delta == pytest.approx(10.0, rel=1e-15)
+    med = ho.medium
+    assert med.profile.xi_max_rad_per_m / med.delta_rad_per_m == pytest.approx(10.0, rel=1e-15)
     assert ho.medium.delta_rad_per_m == pytest.approx(device_delta(), rel=1e-15)
     sp = fs.default_spun_front_end()
     assert sp.kind == "spun_fiber"
     assert sp.medium.profile.kind == "constant"
-    assert sp.medium.xi_over_delta == pytest.approx(5.0, rel=1e-15)
+    med = sp.medium
+    assert med.profile.xi_max_rad_per_m / med.delta_rad_per_m == pytest.approx(5.0, rel=1e-15)
     assert sp.n_segments == ho.n_segments == int(constant("front_end_segments"))
 
 

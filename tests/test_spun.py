@@ -131,8 +131,6 @@ def test_profiles_reject_negative_positions():
 
 def test_medium_derived_properties():
     med = DEMO
-    assert med.beat_length_m == pytest.approx(2 * math.pi / med.delta_rad_per_m, rel=1e-15)
-    assert med.xi_over_delta == pytest.approx(5.0, rel=1e-15)
     assert med.settle_z_m == med.profile.lead_in_l1_m + med.profile.transition_l2_m
     flat = fs.SpunMediumSpec(0.02, 100.0, fs.SpinProfile("constant", 5.0))
     assert flat.settle_z_m == 0.0
@@ -160,7 +158,7 @@ def test_with_delta_keeps_the_fabricated_profile():
 
 def test_grid_basics():
     g = fs.PropagationGrid(4, 0.2)
-    assert g.dz_m == 0.05
+    assert g.total_length_m / g.n_segments == 0.05
     zs = g.z_samples()
     assert len(zs) == 5
     assert zs[0] == 0.0 and zs[-1] == 0.2
@@ -472,10 +470,11 @@ def test_trajectory_states_match_segment_by_segment_product(n, chunk, monkeypatc
     med = fs.SpunMediumSpec(0.05, delta, fs.SpinProfile("linear", 3.0 * delta, 0.01, 0.03))
     e_in = fs.jones_vector(0.8, 0.36 + 0.48j)
     grid = grid_for(med, n)
+    dz = grid.total_length_m / grid.n_segments
     v = e_in
     want = [abs(_oracles.ellipticity_principal(v))]
-    for theta in med.profile.spin_angle(np.arange(n) * grid.dz_m):
-        v = segment_matrix(delta, float(theta), grid.dz_m) @ v
+    for theta in med.profile.spin_angle(np.arange(n) * dz):
+        v = segment_matrix(delta, float(theta), dz) @ v
         want.append(abs(_oracles.ellipticity_principal(v)))
     traj = propagate_trajectory(med, grid, e_in=e_in)
     np.testing.assert_allclose(traj.epsilon, want, rtol=0.0, atol=1e-12)
@@ -497,6 +496,24 @@ def test_trajectory_validation():
         fs.EllipticityTrajectory(
             np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.1, 0.2]), "principal", 0.0
         )
+    # np.diff gives [inf, nan] here, and nan <= 0 is false
+    with pytest.raises(ValueError):
+        fs.EllipticityTrajectory(
+            np.array([0.0, np.inf, np.inf]), np.array([0.0, 0.1, 0.2]), "principal", 0.0
+        )
+
+
+@pytest.mark.parametrize("run", [total_matrix, propagate_trajectory])
+def test_unknown_angle_rule_is_rejected(run):
+    # a misspelled rule must not run the left rule
+    with pytest.raises(ValueError, match="unknown angle rule 'Midpoint'"):
+        run(DEMO, grid_for(DEMO, 8), angle_rule="Midpoint")
+
+
+def test_unknown_metric_kind_is_rejected():
+    # and a misspelled metric must not compute the principal one
+    with pytest.raises(ValueError, match="unknown metric kind 'bogus'"):
+        propagate_trajectory(DEMO, grid_for(DEMO, 8), metric_kind="bogus")
 
 
 def test_trajectory_scan_matches_frozen_metrics(metrics_trajectory):
@@ -506,7 +523,8 @@ def test_trajectory_scan_matches_frozen_metrics(metrics_trajectory):
     assert m.delta_eps_pp == pytest.approx(g["pp_settled"], rel=1e-9)
     assert m.rms_eps == pytest.approx(g["rms_settled"], rel=1e-8)
     assert m.mean_eps == pytest.approx(g["mean_settled"], rel=1e-9)
-    assert metrics_trajectory.delta_eps_pp == pytest.approx(g["pp_full"], rel=1e-9)
+    eps = metrics_trajectory.epsilon
+    assert np.nanmax(eps) - np.nanmin(eps) == pytest.approx(g["pp_full"], rel=1e-9)
     assert np.nanmax(metrics_trajectory.epsilon) == pytest.approx(g["peak"], rel=1e-9)
     assert conversion_length(metrics_trajectory) is None and g["conv_abs"] is None
     # the frozen relative-threshold crossing was located on a strided
