@@ -67,14 +67,12 @@ from .spun import (
     StabilityMetrics,
     conversion_length,
     estimate_segments,
-    fluctuation_bound,
     grid_for,
     propagate_trajectory,
-    segment_matrix,
     stability_metrics,
     total_matrix,
 )
-from .tables import ResultTable, from_json, render
+from .tables import ResultTable, render
 
 __version__ = "0.1.0"
 
@@ -127,14 +125,11 @@ __all__ = [
     "StabilityMetrics",
     "conversion_length",
     "estimate_segments",
-    "fluctuation_bound",
     "grid_for",
     "propagate_trajectory",
-    "segment_matrix",
     "stability_metrics",
     "total_matrix",
     "ResultTable",
-    "from_json",
     "render",
     "__version__",
 ]

@@ -68,8 +68,8 @@ def qwp_ideal_out() -> JonesMatrix:
 class ImperfectWaveplate:
     """Fabrication state of a discrete quarter-wave plate, the deviation
     model's two numbers: rho_rad is the actual retardation, beta_rad the
-    splice (axis alignment) error. from_physical and from_cut_deviation
-    derive rho from material and geometry; the plate keeps only rho.
+    splice (axis alignment) error. from_cut_deviation derives rho from
+    material and geometry; the plate keeps only rho.
     """
 
     rho_rad: float
@@ -81,34 +81,18 @@ class ImperfectWaveplate:
             raise NumericDomainError("plate retardation or splice angle is not finite")
 
     @classmethod
-    def from_physical(
-        cls,
-        delta_n: float,
-        cut_length_m: float,
-        wavelength_m: float,
-        beta_rad: float = 0.0,
-    ) -> "ImperfectWaveplate":
-        """Build from material and geometry: rho = 2 pi delta_n d / lambda."""
-        rho = 2 * math.pi * delta_n * cut_length_m / wavelength_m
-        return cls(rho, beta_rad)
-
-    @classmethod
     def from_cut_deviation(
         cls, cut_deviation_m: float, splice_angle_rad: float = 0.0
     ) -> "ImperfectWaveplate":
         """Plate cut short or long of the nominal quarter-wave length.
 
         Material and wavelength come from the ambient build constants; only
-        the two fabrication errors vary.
+        the two fabrication errors vary. rho = 2 pi delta_n d / lambda.
         """
-        dn = float(constant("birefringence_delta_n"))
-        lam = float(constant("wavelength_m"))
-        return cls.from_physical(
-            delta_n=dn,
-            cut_length_m=float(constant("plate_cut_length_m")) + cut_deviation_m,
-            wavelength_m=lam,
-            beta_rad=splice_angle_rad,
-        )
+        delta_n = float(constant("birefringence_delta_n"))
+        cut_length_m = float(constant("plate_cut_length_m")) + cut_deviation_m
+        wavelength_m = float(constant("wavelength_m"))
+        return cls(2 * math.pi * delta_n * cut_length_m / wavelength_m, splice_angle_rad)
 
     @classmethod
     def nominal(cls) -> "ImperfectWaveplate":

@@ -144,23 +144,6 @@ def grid_for(spec: SpunMediumSpec, n_segments: int) -> PropagationGrid:
     return PropagationGrid(n_segments, spec.total_length_m)
 
 
-def segment_matrix(delta_rad_per_m: float, theta_rad: float, dz_m: float) -> JonesMatrix:
-    """Rotated linear retarder for one segment."""
-    if dz_m <= 0.0:
-        raise ValueError("segment length must be positive")
-    half = 0.5 * delta_rad_per_m * dz_m
-    ep = complex(math.cos(half), math.sin(half))
-    em = ep.conjugate()
-    c, s = math.cos(theta_rad), math.sin(theta_rad)
-    return np.array(
-        [
-            [ep * c * c + em * s * s, (ep - em) * c * s],
-            [(ep - em) * c * s, ep * s * s + em * c * c],
-        ],
-        dtype=np.complex128,
-    )
-
-
 def _segment_pairs(
     spec: SpunMediumSpec,
     n: int,
@@ -252,7 +235,7 @@ class EllipticityTrajectory:
     where the axis-ratio formula is undefined. settle_z_m carries the
     post-transition boundary so metric windows can default correctly.
     The z samples are checked here, once, as neighbouring pairs, so a
-    repeated value (+inf included) raises ValueError.
+    repeated value (+inf included) or a NaN raises ValueError.
     """
 
     z_m: npt.NDArray[np.float64]
@@ -263,7 +246,7 @@ class EllipticityTrajectory:
     def __post_init__(self):
         if len(self.z_m) != len(self.epsilon):
             raise ValueError("z and epsilon lengths differ")
-        if (self.z_m[1:] <= self.z_m[:-1]).any():
+        if not (self.z_m[1:] > self.z_m[:-1]).all():
             raise ValueError("z samples must strictly increase")
 
 
@@ -423,17 +406,3 @@ def estimate_segments(total_length_m: float, tolerance_eps: float) -> int:
         raise ValueError("tolerance must lie in (0, 1)")
     c = float(constant("segment_calibration_c"))
     return max(64, math.ceil(c * total_length_m**2 / tolerance_eps))
-
-
-def fluctuation_bound(profile: SpinProfile) -> float:
-    """Fluctuation driver max|dxi/dz| * xi_max of a spin profile.
-
-    A correlation driver, not an absolute bound; the proportionality
-    constant is unknown.
-    """
-    xm = profile.xi_max_rad_per_m
-    if profile.kind == "linear":
-        return xm * xm / profile.transition_l2_m
-    if profile.kind == "cosine":
-        return math.pi * xm * xm / (2.0 * profile.transition_l2_m)
-    return 0.0  # constant

@@ -89,13 +89,6 @@ class ResultTable:
         """The cells row by row, array cells as Python floats."""
         return tuple(zip(*map(_cells, self.cells)))
 
-    def __eq__(self, other):
-        if not isinstance(other, ResultTable):
-            return NotImplemented
-        return (self.columns, self.grid_n, self.extra_metadata, self.rows) == (
-            other.columns, other.grid_n, other.extra_metadata, other.rows
-        )
-
     def metadata(self) -> dict[str, object]:
         md: dict[str, object] = {
             "schema_version": SCHEMA_VERSION,
@@ -216,17 +209,3 @@ def render_pieces(table: ResultTable, fmt: str) -> Iterator[str]:
 
 def render(table: ResultTable, fmt: str) -> str:
     return "".join(render_pieces(table, fmt))
-
-
-def from_json(text: str) -> ResultTable:
-    obj = json.loads(text)
-    md = obj["metadata"]
-    known = {"schema_version", "constants_fingerprint", "grid_n"}
-    extra = tuple((k, str(v)) for k, v in md.items() if k not in known)
-    return ResultTable.from_rows(
-        columns=tuple(obj["columns"]),
-        rows=obj["rows"],
-        grid_n=md.get("grid_n"),
-        extra_metadata=extra,
-    )
-

@@ -1,13 +1,22 @@
 """Reference formulas the tests compare focsim against, kept outside the
 library under test: Stokes and ellipticity algebra, unitarity and
 projective equality, the paper's printed tan-form plate, the nominal
-chain's closed form and the spin rate of each profile kind.
+chain's closed form, the detected intensity behind a plate and behind a
+medium, the spin rate and fluctuation driver of each profile kind, one
+segment's matrix from scalar math calls, and a table's content read back
+from its JSON text.
+
+The two intensity forms follow the chain's two return-pass conventions: a
+plate returns through its complex conjugate, a medium through its
+transpose (Jones reciprocity in a fixed lab basis; Potton, Rep. Prog.
+Phys. 67, 2004).
 
 Sign conventions: s3 = -2 Im(ex conj(ey)), so the circular state
 (1, i)/sqrt(2) has s3 = +1; the signed principal-frame ellipticity is
 tan(chi) with sin(2chi) = s3/s0, positive for that same circular state.
 """
 
+import json
 import math
 
 import numpy as np
@@ -93,3 +102,65 @@ def spin_rate(profile, z):
         else:
             out = profile.xi_max_rad_per_m * (0.5 - 0.5 * np.cos(np.pi * u))
     return out if out.ndim else float(out)
+
+
+def fluctuation_bound(profile) -> float:
+    """Fluctuation driver max|dxi/dz| * xi_max of a focsim SpinProfile.
+
+    A correlation driver, not an absolute bound; the proportionality
+    constant is unknown.
+    """
+    xm = profile.xi_max_rad_per_m
+    if profile.kind == "linear":
+        return xm * xm / profile.transition_l2_m
+    if profile.kind == "cosine":
+        return math.pi * xm * xm / (2.0 * profile.transition_l2_m)
+    return 0.0  # constant
+
+
+def segment_matrix(delta_rad_per_m: float, theta_rad: float, dz_m: float):
+    """One segment, R(theta) diag(e^{+i delta dz / 2}, e^{-i delta dz / 2})
+    R(-theta), written out with scalar math calls."""
+    if dz_m <= 0.0:
+        raise ValueError("segment length must be positive")
+    half = 0.5 * delta_rad_per_m * dz_m
+    ep = complex(math.cos(half), math.sin(half))
+    em = ep.conjugate()
+    c, s = math.cos(theta_rad), math.sin(theta_rad)
+    return np.array(
+        [
+            [ep * c * c + em * s * s, (ep - em) * c * s],
+            [(ep - em) * c * s, ep * s * s + em * c * c],
+        ],
+        dtype=np.complex128,
+    )
+
+
+def plate_intensity(w, f_rad):
+    """Detected intensity behind a focsim ImperfectWaveplate mounted at 45
+    degrees, at Faraday angles f: cos^2 2F + sin^2 rho sin^2 2beta sin^2 2F."""
+    f2 = 2.0 * np.asarray(f_rad, dtype=np.float64)
+    return np.cos(f2) ** 2 + (math.sin(w.rho_rad) * math.sin(2 * w.beta_rad)) ** 2 * np.sin(f2) ** 2
+
+
+def medium_intensity(u, f_rad):
+    """Detected intensity behind a unit-norm medium U = [[a, -conj(b)],
+    [b, conj(a)]] that returns through U^T: (1 - Im(a^2 + b^2)^2) cos^2 2F."""
+    a, b = complex(u[0, 0]), complex(u[1, 0])
+    return (1.0 - (a * a + b * b).imag ** 2) * np.cos(2.0 * np.asarray(f_rad, dtype=np.float64)) ** 2
+
+
+def table_view(table):
+    """What a focsim ResultTable holds: (columns, grid_n, extra_metadata, rows)."""
+    return table.columns, table.grid_n, table.extra_metadata, table.rows
+
+
+def table_view_from_json(text: str):
+    """table_view of the table a JSON rendering was made from; a NaN cell
+    reads back as None, as the rendering writes it."""
+    obj = json.loads(text)
+    md = obj["metadata"]
+    known = {"schema_version", "constants_fingerprint", "grid_n"}
+    extra = tuple((k, str(v)) for k, v in md.items() if k not in known)
+    rows = tuple(tuple(row) for row in obj["rows"])
+    return tuple(obj["columns"]), md.get("grid_n"), extra, rows

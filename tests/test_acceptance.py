@@ -144,7 +144,7 @@ def test_criterion_07_tradeoff_correlation(criterion_log, xi_table):
     drivers, pps = [], []
     for kind in ("linear", "cosine"):
         for r in RATIOS:
-            drivers.append(fs.fluctuation_bound(medium_with_profile(kind, r).profile))
+            drivers.append(_oracles.fluctuation_bound(medium_with_profile(kind, r).profile))
             pps.append(rows[kind, r].delta_eps_pp_full)
 
     def ranks(xs):
@@ -230,7 +230,7 @@ def test_criterion_10_determinism_and_round_trip(criterion_log, tmp_path):
     table = fs.ResultTable.from_rows(columns=("v",), rows=tuple((x,) for x in values))
     csv_cells = [line.split(",")[0] for line in fs.render(table, "csv").splitlines()[2:]]
     csv_exact = all(float(c) == x for c, x in zip(csv_cells, values))
-    json_exact = fs.from_json(fs.render(table, "json")) == table
+    json_exact = _oracles.table_view_from_json(fs.render(table, "json")) == _oracles.table_view(table)
 
     elapsed = time.perf_counter() - start
     ok = byte_identical and fixed_point and csv_exact and json_exact and elapsed < 10.0

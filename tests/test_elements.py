@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import focsim as fs
-from focsim.elements import _intensities, roundtrip_fields
+from focsim.elements import _intensities, plate_converter_pairs, roundtrip_fields
 from focsim.errors import NumericDomainError
 
 import _frozen
@@ -86,10 +86,11 @@ def test_mounted_nominal_plate_is_ideal():
 
 
 def test_waveplate_physical_consistency():
-    w = fs.ImperfectWaveplate.from_physical(
-        delta_n=5e-4, cut_length_m=6.55e-4, wavelength_m=1.31e-6
-    )
-    assert w.rho_rad == pytest.approx(math.pi / 2, rel=1e-12)
+    # rho = 2 pi delta_n d / lambda in that order, bit for bit, d the deviated cut
+    dn, lam = fs.constant("birefringence_delta_n"), fs.constant("wavelength_m")
+    for dev in (0.0, 3e-4, -1e-5):
+        d = fs.constant("plate_cut_length_m") + dev
+        assert fs.ImperfectWaveplate.from_cut_deviation(dev).rho_rad == 2 * math.pi * dn * d / lam
 
 
 def test_waveplate_from_cut_deviation():
@@ -115,6 +116,46 @@ def test_ideal_roundtrip_closed_form():
     for f in (0.0, 0.1, 0.35, 0.71, 1.2):
         got = _oracles.intensity(roundtrip_fields(pair, (f,))[0])
         assert got == pytest.approx(_oracles.ideal_intensity(f), abs=1e-12)
+
+
+def _closed_form_angles(rng):
+    """Seven Faraday angles, one of them the fringe null at F = pi/4."""
+    return fs.FaradayCoil(np.append(rng.uniform(-math.pi, math.pi, 6), math.pi / 4))
+
+
+def _off_null(r, want):
+    keep = ~np.isnan(r.i_out)
+    assert keep.sum(axis=-1).tolist() == [6] * len(want)
+    return r.i_out[keep], want[keep]
+
+
+def test_plate_intensity_closed_form():
+    # a plate returns through its complex conjugate
+    rng = np.random.default_rng(21)
+    plates = [
+        fs.ImperfectWaveplate(rho, beta)
+        for rho, beta in zip(rng.uniform(0.0, 2 * math.pi, 200), rng.uniform(-math.pi, math.pi, 200))
+    ]
+    coil = _closed_form_angles(rng)
+    fwd, ret = plate_converter_pairs(plates)
+    r = fs.detected_intensity(coil, (fwd[:, np.newaxis], ret[:, np.newaxis]))
+    want = np.array([_oracles.plate_intensity(w, coil.rotation_angle_f_rad) for w in plates])
+    got, want = _off_null(r, want)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_medium_intensity_closed_form():
+    # a medium U = [[a, -conj(b)], [b, conj(a)]] returns through its transpose
+    rng = np.random.default_rng(22)
+    v = rng.normal(size=(200, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    a, b = v[:, 0] + 1j * v[:, 1], v[:, 2] + 1j * v[:, 3]
+    u = np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
+    coil = _closed_form_angles(rng)
+    r = fs.detected_intensity(coil, (u[:, np.newaxis], u.transpose(0, 2, 1)[:, np.newaxis]))
+    want = np.array([_oracles.medium_intensity(m, coil.rotation_angle_f_rad) for m in u])
+    got, want = _off_null(r, want)
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_detected_intensity_frozen_example():

@@ -478,6 +478,21 @@ def test_distributed_front_ends_match_frozen_sweep_errors():
         assert res.max_abs_err_pct == pytest.approx(_frozen.C8_SPUN_ERRS_PCT[idx], rel=1e-9)
 
 
+def test_distributed_sweep_errors_follow_the_medium_closed_form():
+    # behind a medium U = [[a, -conj(b)], [b, conj(a)]] the sweep error is
+    # -100 Im(a^2 + b^2)^2 at every current, once |a|^2 + |b|^2 = 1; a norm
+    # drift delta scales every intensity by 1 + 2 delta, 200 delta points
+    for fe in (fs.default_high_order_front_end(), fs.default_spun_front_end()):
+        fwd, _ = fe.converter_pair()
+        a, b = complex(fwd[0, 0]), complex(fwd[1, 0])
+        drift = abs(a) ** 2 + abs(b) ** 2 - 1.0
+        res = fs.run_current_sweep(fs.default_sweep_spec(fe))
+        err = res.err_pct[~np.isnan(res.err_pct)]
+        assert len(err) > 0
+        gap = np.max(np.abs(err + 100.0 * (a * a + b * b).imag ** 2))
+        assert gap <= 300.0 * abs(drift) + 1e-10, (fe.kind, gap, drift)
+
+
 def test_default_front_end_geometry():
     ho = fs.default_high_order_front_end()
     assert ho.kind == "high_order_qwp"

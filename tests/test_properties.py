@@ -80,7 +80,7 @@ def lossless_elements(draw):
         assume(rho != math.pi)  # the tan form's one excluded point
         plate = fs.ImperfectWaveplate(rho, draw(splice_angles))
         return _oracles.qwp_imperfect_tan(plate)
-    return fs.segment_matrix(
+    return _oracles.segment_matrix(
         draw(st.floats(1.0, 5000.0)), draw(angles), draw(st.floats(1e-5, 0.01))
     )
 
@@ -300,7 +300,7 @@ def test_gradient_driver_ranks_measured_fluctuation(ripple_rows):
     drivers, pps = [], []
     for kind in ("linear", "cosine"):
         for r in RATIOS:
-            drivers.append(fs.fluctuation_bound(medium_with_profile(kind, r).profile))
+            drivers.append(_oracles.fluctuation_bound(medium_with_profile(kind, r).profile))
             pps.append(ripple_rows[kind, r].delta_eps_pp_full)
 
     def ranks(xs):

@@ -19,7 +19,6 @@ from focsim.spun import (
     conversion_length,
     grid_for,
     propagate_trajectory,
-    segment_matrix,
     stability_metrics,
     total_matrix,
 )
@@ -176,6 +175,7 @@ def test_grid_basics():
 
 
 def test_segment_matrix_is_a_rotated_retarder():
+    segment_matrix = _oracles.segment_matrix
     j = segment_matrix(100.0, 0.0, 0.01)
     assert np.allclose(j, np.diag([np.exp(0.5j), np.exp(-0.5j)]), atol=1e-16)
     theta = 0.37
@@ -190,6 +190,7 @@ def test_segment_matrix_is_a_rotated_retarder():
 def test_coarse_products_compose_segment_matrices():
     prof = fs.SpinProfile("linear", 300.0, 0.0, 0.1)
     med = fs.SpunMediumSpec(0.1, 500.0, prof)
+    segment_matrix = _oracles.segment_matrix
     j1 = total_matrix(med, grid_for(med, 1))
     assert np.array_equal(j1, segment_matrix(500.0, prof.spin_angle(0.0), 0.1))
     j2 = total_matrix(med, grid_for(med, 2))
@@ -474,7 +475,7 @@ def test_trajectory_states_match_segment_by_segment_product(n, chunk, monkeypatc
     v = e_in
     want = [abs(_oracles.ellipticity_principal(v))]
     for theta in med.profile.spin_angle(np.arange(n) * dz):
-        v = segment_matrix(delta, float(theta), dz) @ v
+        v = _oracles.segment_matrix(delta, float(theta), dz) @ v
         want.append(abs(_oracles.ellipticity_principal(v)))
     traj = propagate_trajectory(med, grid, e_in=e_in)
     np.testing.assert_allclose(traj.epsilon, want, rtol=0.0, atol=1e-12)
@@ -500,6 +501,11 @@ def test_trajectory_validation():
     with pytest.raises(ValueError):
         fs.EllipticityTrajectory(
             np.array([0.0, np.inf, np.inf]), np.array([0.0, 0.1, 0.2]), "principal", 0.0
+        )
+    # and a NaN sample compares false with both neighbours
+    with pytest.raises(ValueError, match="z samples must strictly increase"):
+        fs.EllipticityTrajectory(
+            np.array([0.0, np.nan, 1.0]), np.array([0.0, 0.1, 0.2]), "principal", 0.0
         )
 
 
@@ -611,9 +617,15 @@ def test_estimate_segments_honors_the_tolerance(demo_reference):
 
 
 def test_fluctuation_bound_closed_forms():
+    bound = _oracles.fluctuation_bound
     lin = fs.SpinProfile("linear", 20.0, 0.0, 0.5)
     cos = fs.SpinProfile("cosine", 20.0, 0.0, 0.5)
-    assert fs.fluctuation_bound(lin) == pytest.approx(800.0, rel=1e-15)
-    assert fs.fluctuation_bound(cos) == pytest.approx(400.0 * math.pi, rel=1e-15)
-    assert fs.fluctuation_bound(cos) > fs.fluctuation_bound(lin)
-    assert fs.fluctuation_bound(fs.SpinProfile("constant", 20.0)) == 0.0
+    assert bound(lin) == pytest.approx(800.0, rel=1e-15)
+    assert bound(cos) == pytest.approx(400.0 * math.pi, rel=1e-15)
+    assert bound(cos) > bound(lin)
+    assert bound(fs.SpinProfile("constant", 20.0)) == 0.0
+    # each closed form is max|dxi/dz| * xi_max of the profile's own rate law
+    z = np.linspace(0.0, 0.6, 600_001)
+    for prof in (lin, cos, fs.SpinProfile("cosine", 7.0, 0.05, 0.2)):
+        slope = np.max(np.abs(np.gradient(_oracles.spin_rate(prof, z), z)))
+        assert slope * prof.xi_max_rad_per_m == pytest.approx(bound(prof), rel=1e-6)

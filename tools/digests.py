@@ -3,7 +3,9 @@
 Each digest covers the dtype, shape and raw bytes of every array a case
 returns, so sign bits and NaN payloads count as they are stored; a CLI case
 covers its exit code and the exact bytes it writes. Cases print in a fixed
-order, so comparing two trees is a diff of two runs on one machine:
+order after one ``host`` line (numpy's version, its enabled SIMD dispatch
+targets and the OpenBLAS core), so comparing two trees is a diff of two runs
+on one machine:
 
     python tools/digests.py --src /path/to/other/src > other.txt
     python tools/digests.py > this.txt
@@ -20,8 +22,10 @@ The cases:
   and the detected intensities of their stacked plates;
 * every CLI subcommand, in CSV and JSON, with small segment counts.
 
-A digest of BLAS products can differ between CPUs and BLAS builds, so this
-is a tool for comparing trees, not a test. It needs numpy only and takes
+A digest of BLAS products can differ between CPUs and BLAS builds, and a
+digest of numpy's transcendental loops between its SIMD targets, so this is
+a tool for comparing trees, not a test; the host line shows when two files
+come from different kernels. It needs numpy only and takes
 about 8 s on a 2-vCPU Xeon.
 """
 
@@ -35,6 +39,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import ctypes  # noqa: E402
 import functools  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -48,6 +53,22 @@ from dataclasses import replace  # noqa: E402
 import numpy as np  # noqa: E402
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def host_line() -> str:
+    """numpy's version, its enabled SIMD dispatch targets and the core its
+    bundled OpenBLAS runs (``unknown`` where that library has no
+    ``scipy_openblas_get_corename64_``)."""
+    from numpy._core import _multiarray_umath as umath
+
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    # dlsym through numpy's own extension also searches the BLAS it links
+    corename = getattr(ctypes.CDLL(umath.__file__), "scipy_openblas_get_corename64_", None)
+    core = "unknown"
+    if corename is not None:
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
+        core = corename().decode()
+    return f"host numpy={np.__version__} simd={','.join(simd)} openblas={core}"
 
 
 def digest(*values) -> str:
@@ -195,6 +216,7 @@ def main(argv=None) -> int:
     import focsim as fs
     from focsim import spun
 
+    print(host_line(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         cases = (*spun_cases(fs, spun), *sweep_cases(fs), *scan_cases(fs), *cli_cases(pathlib.Path(tmp)))
         for name, run in cases:
