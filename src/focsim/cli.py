@@ -14,9 +14,10 @@ piece, the output holds part of the table.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Generator
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -227,14 +228,16 @@ def _flag_document(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _write_out(pieces: Iterable[str], out_path: str | None) -> None:
-    """Write each piece as it is produced."""
-    if out_path is None:
-        sys.stdout.writelines(pieces)
-        sys.stdout.flush()
-        return
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(pieces)
+def _write_out(pieces: Generator[str, None, None], out_path: str | None) -> None:
+    """Write each piece as it is produced. The pieces are closed however the
+    writing ends, so a table's formatting workers stop at once."""
+    with contextlib.closing(pieces):
+        if out_path is None:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+            return
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
 
 
 def main(argv=None) -> int:
@@ -246,7 +249,8 @@ def main(argv=None) -> int:
         cfg = parse_config(_flag_document(args), base=cfg)
         run = _COMMANDS[args.command][1]
         if run is None:
-            pieces = (serialize_config(cfg),)
+            # one piece, as a generator that _write_out closes like a table's
+            pieces = (text for text in (serialize_config(cfg),))
         else:
             pieces = render_pieces(run(cfg), args.format)
         # the table is formatted while it is written, so a failed allocation

@@ -16,6 +16,11 @@ and ``render`` is the join of the pieces:
 ``_csv_cell`` and ``_json_text`` are the definitions of a cell's text.
 Every check of a table (``_csv_text``: text that would break the CSV
 layout) runs before its first piece is produced.
+
+A table of more than one piece is formatted by up to one worker per usable
+CPU (``os.sched_getaffinity``): the calling process and workers forked from
+it, each formatting every k-th piece. Nothing sets the count, and the
+pieces come out in order with the same bytes for any count.
 Both formats are byte-deterministic for identical table values: no wall
 clock, no environment, no dict-ordering hazards.
 """
@@ -24,9 +29,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+import os
+from collections.abc import Generator
 from dataclasses import dataclass
 from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -106,18 +113,111 @@ class ResultTable:
 _PIECE = 1 << 12
 
 
-def _pieces(head: str, row: str, sep: str, tail: str, n: int, cells_of) -> Iterator[str]:
+def _piece(row: str, sep: str, n: int, cells_of, lo: int) -> str:
+    """Rows [lo, lo + ``_PIECE``) of ``n``: one %-fill of copies of the
+    ``row`` template, joined by ``sep`` and led by it after the first row.
+
+    One %-operation per piece keeps the per-cell work in C.
+    """
+    hi = min(lo + _PIECE, n)
+    template = (sep + row) * (hi - lo)
+    return (template[len(sep):] if lo == 0 else template) % tuple(cells_of(lo, hi))
+
+
+def _workers(n_pieces: int) -> int:
+    """One worker per usable CPU, at most one per piece; one where the
+    platform cannot fork or tell the usable CPUs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_pieces)
+
+
+def _serve(fd: int, piece, starts: range) -> NoReturn:
+    """A forked worker's whole life: write ``piece(lo)`` for each of ``starts``
+    to ``fd``, each as the length of its UTF-8 bytes in 8 bytes and then
+    the bytes, and exit. ``os._exit`` flushes none of the buffers the fork
+    copied and unwinds none of the caller's frames."""
+    code = 1
+    try:
+        with open(fd, "wb") as pipe:
+            for lo in starts:
+                data = piece(lo).encode()
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(pipe) -> str | None:
+    """The next piece a worker wrote, or None where its stream ended early."""
+    # no piece is empty, so a size of 0 is a stream that ended before it
+    size = int.from_bytes(pipe.read(8), "little")
+    data = pipe.read(size)
+    return data.decode() if 0 < size == len(data) else None
+
+
+def _stop(pid: int, pipe) -> None:
+    """Kill and reap one worker, whatever it is doing, and close its pipe."""
+    # imported here: loading signal would cost every start of the CLI
+    import signal
+
+    os.kill(pid, signal.SIGKILL)
+    pipe.close()
+    os.waitpid(pid, 0)
+
+
+def _pieces(
+    head: str, row: str, sep: str, tail: str, n: int, cells_of
+) -> Generator[str, None, None]:
     """``head``; ``n`` copies of the ``row`` template joined by ``sep``, filled
     with ``cells_of(lo, hi)`` (the cells of rows [lo, hi) in row order) in
     pieces of at most ``_PIECE`` rows; and ``tail``.
 
-    One %-operation per piece keeps the per-cell work in C.
+    Of k workers, worker i mod k formats piece i: worker 0 is this process,
+    the others are forked when the first piece is taken and each writes its
+    pieces to its own pipe, where a full pipe holds it until this process
+    reads. The pieces come out in order, one at a time. Where a worker's
+    stream ends early or it cannot be forked, this process formats that
+    worker's pieces itself, so the text never depends on the workers.
+    However the generator ends, its workers are killed and reaped.
     """
     yield head
-    for lo in range(0, n, _PIECE):
-        hi = min(lo + _PIECE, n)
-        template = (sep + row) * (hi - lo)
-        yield (template[len(sep):] if lo == 0 else template) % tuple(cells_of(lo, hi))
+    starts = range(0, n, _PIECE)
+    k = _workers(len(starts))
+
+    def piece(lo: int) -> str:
+        return _piece(row, sep, n, cells_of, lo)
+
+    workers = {}  # j -> (pid, pipe) of forked worker j
+    owner = os.getpid()
+    try:
+        for j in range(1, k):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                os.close(r)
+                _serve(w, piece, starts[j::k])
+            os.close(w)
+            workers[j] = (pid, open(r, "rb"))
+        for i, lo in enumerate(starts):
+            text = None
+            if i % k in workers:
+                text = _receive(workers[i % k][1])
+                if text is None:  # the worker ended early: its pieces are ours
+                    _stop(*workers.pop(i % k))
+            yield piece(lo) if text is None else text
+    finally:
+        # only the process that forked them stops the workers: a worker may
+        # itself collect a generator left over from an earlier table
+        if os.getpid() == owner:
+            for worker in workers.values():
+                _stop(*worker)
     yield tail
 
 
@@ -148,7 +248,7 @@ def _csv_cell(v: Cell) -> str:
     return v
 
 
-def _csv_pieces(table: ResultTable) -> Iterator[str]:
+def _csv_pieces(table: ResultTable) -> Generator[str, None, None]:
     md = table.metadata()
     head = f"# schema={md['schema_version']}, constants={md['constants_fingerprint']}"
     if "grid_n" in md:
@@ -187,16 +287,16 @@ def _json_text(v: Cell) -> str:
     return json.dumps(_json_cell(v))
 
 
-def _json_pieces(table: ResultTable) -> Iterator[str]:
+def _json_pieces(table: ResultTable) -> Generator[str, None, None]:
     obj = {"metadata": table.metadata(), "columns": list(table.columns), "rows": []}
     head = json.dumps(obj, indent=1).removesuffix("[]\n}")
-    if not table.n_rows:
-        return iter((head + "[]\n}\n",))
+    n = table.n_rows
     row = "  [\n   " + ",\n   ".join(["%s"] * len(table.columns)) + "\n  ]"
-    return _pieces(head + "[\n", row, ",\n", "\n ]\n}\n", table.n_rows, _texts(table, _json_text))
+    brackets = ("[\n", "\n ]\n}\n") if n else ("[", "]\n}\n")
+    return _pieces(head + brackets[0], row, ",\n", brackets[1], n, _texts(table, _json_text))
 
 
-def render_pieces(table: ResultTable, fmt: str) -> Iterator[str]:
+def render_pieces(table: ResultTable, fmt: str) -> Generator[str, None, None]:
     """The text of ``render(table, fmt)`` as pieces of at most ``_PIECE``
     rows, each formatted as it is taken. Every check of the table and its
     header runs before this returns."""

@@ -529,6 +529,21 @@ def test_full_device_exits_4_with_one_line():
         assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_stops_the_workers_at_once(monkeypatch):
+    # five pieces of rows among two workers; the kept error holds the
+    # writer's frame, and so its pieces, alive
+    n = 4 * _PIECE + 1
+    table = ResultTable(columns=("z_m", "epsilon"), cells=(np.linspace(0.0, 3.2, n), np.ones(n)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for fmt in ("csv", "json"):
+        with pytest.raises(OSError) as failed:
+            cli._write_out(render_pieces(table, fmt), "/dev/full")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert "No space left" in str(failed.value)
+
+
 def test_table_writing_memory_is_bounded():
     # the traced peak is one piece's cells and text: 0.5 MB (CSV) and 1.1 MB
     # (JSON) at 540k rows, where the whole-table text peaked at 80.9 and
@@ -567,7 +582,7 @@ def test_stdout_is_deterministic_and_timing_goes_to_stderr():
     assert c.stdout == a.stdout
 
 
-def test_out_file_matches_stdout_bytes(tmp_path):
+def test_out_file_matches_stdout_bytes(tmp_path, monkeypatch):
     p = tmp_path / "t.csv"
     run_cli("simulate", "--out", str(p))
     assert p.read_text() == run_cli("simulate").stdout
@@ -576,4 +591,10 @@ def test_out_file_matches_stdout_bytes(tmp_path):
     for fmt in ("csv", "json"):
         args = ("trajectory", "--segments", segments, "--stride", "1", "--format", fmt)
         run_cli(*args, "--out", str(p))
-        assert p.read_bytes() == run_cli(*args).stdout.encode("utf-8"), fmt
+        want = run_cli(*args).stdout.encode("utf-8")
+        assert p.read_bytes() == want, fmt
+        # and where one CPU is usable, so no worker is forked
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert cli.main([*args, "--out", str(p)]) == 0
+        assert p.read_bytes() == want, fmt

@@ -1,13 +1,19 @@
-"""Result tables: cell rendering, headers, JSON round trip."""
+"""Result tables: cell rendering, headers, JSON round trip, and the forked
+workers that share the formatting of large tables."""
 
+import contextlib
+import errno
+import gc
 import json
 import math
+import os
 import random
 import struct
 
 import numpy as np
 import pytest
 
+from focsim import tables
 from focsim.constants import SCHEMA_VERSION, constants_fingerprint
 from focsim.tables import (
     _PIECE,
@@ -85,6 +91,34 @@ def _assert_reference_renderings(t: ResultTable) -> None:
     assert render(t, "json") == _dumps_json(t)
 
 
+@contextlib.contextmanager
+def _usable_cpus(count: int | None):
+    """Tables render as on a host with ``count`` usable CPUs (None: this one)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if count is not None:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        yield
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of workers forked so far, as a list of one entry each."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _random_doubles(rng: random.Random, n: int) -> list[float]:
     """Doubles from uniform random bit patterns: every exponent, NaN payloads."""
     return [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(n)]
@@ -113,10 +147,135 @@ def test_all_float_csv_matches_the_per_cell_rendering(width):
     for n in (n_first, 1, 0, _PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 1):
         arrays = ResultTable(names, tuple(np.array(c[:n], dtype=np.float64) for c in cols), **md)
         tuples = ResultTable(names, tuple(tuple(c[:n]) for c in cols), **md)
-        for fmt in ("csv", "json"):
-            # the array template and the per-cell path give the same bytes
-            assert render(arrays, fmt) == render(tuples, fmt), (fmt, n)
-        _assert_reference_renderings(arrays)
+        # one array column among tuple columns: a mixed table
+        mixed = ResultTable(names, arrays.cells[:1] + tuples.cells[1:], **md)
+        want = {"csv": _per_cell_csv(arrays), "json": _dumps_json(arrays)}
+        # the usable CPUs, one (no worker is forked), and more than pieces
+        for cpus in (None, 1, 8):
+            with _usable_cpus(cpus):
+                for fmt, text in want.items():
+                    # the array template and the per-cell path give the same bytes
+                    for t in (arrays, tuples, mixed):
+                        assert render(t, fmt) == text, (fmt, n, cpus)
+
+
+def _two_column_tables(n: int) -> tuple[ResultTable, ResultTable]:
+    """An all-float table of ``n`` rows, and the same cells as a mixed table."""
+    rng = np.random.default_rng(n)
+    arrays = ResultTable(("z", "eps"), (np.linspace(0.0, 3.2, n), rng.random(n)))
+    return arrays, ResultTable(arrays.columns, (arrays.cells[0], tuple(arrays.cells[1].tolist())))
+
+
+@pytest.mark.parametrize(
+    "cpus, rows, workers",
+    [
+        (8, 1, 1),
+        (8, _PIECE, 1),  # one piece: nothing to share
+        (8, _PIECE + 1, 2),
+        (8, 2 * _PIECE + 1, 3),
+        (1, 2 * _PIECE + 1, 1),
+        (2, 4 * _PIECE + 1, 2),
+    ],
+)
+def test_one_worker_per_usable_cpu_and_piece(cpus, rows, workers, forks):
+    arrays, mixed = _two_column_tables(rows)
+    with _usable_cpus(1):
+        want = [(t, fmt, render(t, fmt)) for t in (arrays, mixed) for fmt in ("csv", "json")]
+    assert not forks
+    with _usable_cpus(cpus):
+        for t, fmt, text in want:
+            assert render(t, fmt) == text, fmt
+    assert len(forks) == 4 * (workers - 1)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("failure", ["exit at its first piece", "exit at its second piece", "no fork"])
+def test_the_bytes_do_not_depend_on_a_worker(failure, forks, monkeypatch):
+    # five pieces; of two workers, the forked one formats pieces 1 and 3
+    arrays, mixed = _two_column_tables(4 * _PIECE + 1)
+    with _usable_cpus(1):
+        want = [(t, fmt, render(t, fmt)) for t in (arrays, mixed) for fmt in ("csv", "json")]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if failure == "no fork":
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        parent, piece = os.getpid(), tables._piece
+        dies_at = _PIECE if failure == "exit at its first piece" else 3 * _PIECE
+
+        def dying(row, sep, n, cells_of, lo):
+            if os.getpid() != parent and lo == dies_at:
+                os._exit(1)
+            return piece(row, sep, n, cells_of, lo)
+
+        monkeypatch.setattr(tables, "_piece", dying)
+    for t, fmt, text in want:
+        assert render(t, fmt) == text, (fmt, failure)
+    assert len(forks) == (0 if failure == "no fork" else 4)
+    _assert_no_child()
+
+
+def test_workers_are_reaped_however_the_pieces_end(forks, monkeypatch):
+    # five pieces among three workers: this process formats pieces 0 and 3
+    table = _two_column_tables(4 * _PIECE + 1)[0]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    render(table, "csv")
+    _assert_no_child()
+    # a consumer that stops partway, by closing the pieces or dropping them
+    pieces = render_pieces(table, "csv")
+    next(pieces), next(pieces), next(pieces)
+    pieces.close()
+    _assert_no_child()
+    pieces = render_pieces(table, "json")
+    next(pieces), next(pieces)
+    del pieces
+    _assert_no_child()
+    # a failure in this process's own formatting
+    parent, piece = os.getpid(), tables._piece
+
+    def failing(row, sep, n, cells_of, lo):
+        if os.getpid() == parent and lo == 3 * _PIECE:
+            raise MemoryError
+        return piece(row, sep, n, cells_of, lo)
+
+    monkeypatch.setattr(tables, "_piece", failing)
+    with pytest.raises(MemoryError):
+        render(table, "json")
+    _assert_no_child()
+    assert len(forks) == 4 * 2
+
+
+def test_a_worker_leaves_an_earlier_tables_workers_alone(monkeypatch):
+    # a worker that collects a stale generator of pieces must not stop the
+    # workers that generator forked: they are its siblings, not its own
+    table = _two_column_tables(4 * _PIECE + 1)[0]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    want = render(table, "json")
+    parent, piece = os.getpid(), tables._piece
+
+    def collecting(row, sep, n, cells_of, lo):
+        if os.getpid() != parent:
+            gc.collect()
+        return piece(row, sep, n, cells_of, lo)
+
+    gc.disable()
+    try:
+        stale = render_pieces(table, "csv")
+        next(stale), next(stale)
+        cycle = [stale]
+        cycle.append(cycle)  # only a collection frees it now
+        del stale, cycle
+        monkeypatch.setattr(tables, "_piece", collecting)
+        assert render(table, "json") == want
+        # the stale generator's worker is alive, blocked on its full pipe
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+    finally:
+        gc.enable()
+        gc.collect()
+    _assert_no_child()
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,9 @@ The cases:
   include fringe nulls, and behind both distributed front ends;
 * seeded 8 x 8, 5 x 4, 1 x 1 and 1 x 7 imperfection scans: their cells,
   and the detected intensities of their stacked plates;
-* every CLI subcommand, in CSV and JSON, with small segment counts.
+* every CLI subcommand, in CSV and JSON, with small segment counts, and a
+  stride-1 trajectory of three pieces of rows, which the table formatter
+  shares among its forked workers.
 
 A digest of BLAS products can differ between CPUs and BLAS builds, and a
 digest of numpy's transcendental loops between its SIMD targets, so this is
@@ -197,8 +199,10 @@ def _cli(main, argv, tmp: pathlib.Path):
 
 def cli_cases(tmp: pathlib.Path):
     from focsim.cli import main
+    from focsim.tables import _PIECE
 
-    for name, conf, argv in CLI_RUNS:
+    pieces = ("trajectory-3-pieces", None, ["trajectory", "--segments", str(2 * _PIECE + 100), "--stride", "1"])
+    for name, conf, argv in (*CLI_RUNS, pieces):
         if conf is not None:
             path = tmp / f"{name}.json"
             path.write_text(json.dumps(conf), encoding="utf-8")
