@@ -17,7 +17,11 @@ chunk's tree is built from power-of-two sub-blocks aligned to the chunk
 start: every sub-block is reduced on its own, then the sub-block products
 are reduced in order. No pair of the whole-chunk tree crosses a sub-block
 seam, so the grouping, and every bit of the result, are those of one tree
-over the whole chunk, while only one sub-block is held in memory.
+over the whole chunk, while each process holds one sub-block at a time.
+The sub-block products of a chunk are shared among the calling process
+and workers forked from it, one per usable CPU (``_fork.ordered_map``);
+each runs the same products on the same data, so the bits do not depend
+on the count.
 
 Trajectory scans carry only the Jones state: each segment is the SU(2)
 pair (alpha, beta) of its matrix [[alpha, -conj(beta)], [beta,
@@ -39,6 +43,7 @@ from typing import Literal, get_args
 import numpy as np
 import numpy.typing as npt
 
+from ._fork import ordered_map
 from .constants import constant
 from .errors import EmptyWindowError, NumericDomainError
 from .jones import JonesMatrix, JonesVector, jones_vector
@@ -46,7 +51,8 @@ from .jones import JonesMatrix, JonesVector, jones_vector
 _CHUNK = 1 << 19
 _BLOCK = 1 << 9
 # a power of two no larger than _CHUNK, or the sub-block trees stop being
-# subtrees of the whole-chunk tree and total_matrix changes in the last bits
+# subtrees of the whole-chunk tree and total_matrix changes in the last bits;
+# so only the grid's end cuts a sub-block short
 _SUB = 1 << 14
 
 ProfileKind = Literal["linear", "cosine", "constant"]
@@ -217,13 +223,13 @@ def total_matrix(
 ) -> JonesMatrix:
     """Ordered product of all segment matrices over the grid."""
     n = grid.n_segments
+
+    def part(a: int) -> JonesMatrix:
+        return _ordered_product(_segment_block(spec, n, a, min(a + _SUB, n), angle_rule))
+
     out = np.eye(2, dtype=np.complex128)
     for lo, hi in _chunks(spec, grid):
-        parts = [
-            _ordered_product(_segment_block(spec, n, a, min(a + _SUB, hi), angle_rule))
-            for a in range(lo, hi, _SUB)
-        ]
-        out = _ordered_product(np.stack(parts)) @ out
+        out = _ordered_product(np.stack(list(ordered_map(part, range(lo, hi, _SUB))))) @ out
     return out
 
 

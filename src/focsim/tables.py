@@ -18,7 +18,7 @@ Every check of a table (``_csv_text``: text that would break the CSV
 layout) runs before its first piece is produced.
 
 A table of more than one piece is formatted by up to one worker per usable
-CPU (``os.sched_getaffinity``): the calling process and workers forked from
+CPU (``_fork.ordered_map``): the calling process and workers forked from
 it, each formatting every k-th piece. Nothing sets the count, and the
 pieces come out in order with the same bytes for any count.
 Both formats are byte-deterministic for identical table values: no wall
@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections.abc import Generator
 from dataclasses import dataclass
 from itertools import chain
-from typing import NoReturn
 
 import numpy as np
 
+from ._fork import ordered_map
 from .constants import SCHEMA_VERSION, constants_fingerprint
 
 Cell = float | int | str | bool | None
@@ -124,49 +123,6 @@ def _piece(row: str, sep: str, n: int, cells_of, lo: int) -> str:
     return (template[len(sep):] if lo == 0 else template) % tuple(cells_of(lo, hi))
 
 
-def _workers(n_pieces: int) -> int:
-    """One worker per usable CPU, at most one per piece; one where the
-    platform cannot fork or tell the usable CPUs."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_pieces)
-
-
-def _serve(fd: int, piece, starts: range) -> NoReturn:
-    """A forked worker's whole life: write ``piece(lo)`` for each of ``starts``
-    to ``fd``, each as the length of its UTF-8 bytes in 8 bytes and then
-    the bytes, and exit. ``os._exit`` flushes none of the buffers the fork
-    copied and unwinds none of the caller's frames."""
-    code = 1
-    try:
-        with open(fd, "wb") as pipe:
-            for lo in starts:
-                data = piece(lo).encode()
-                pipe.write(len(data).to_bytes(8, "little"))
-                pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _receive(pipe) -> str | None:
-    """The next piece a worker wrote, or None where its stream ended early."""
-    # no piece is empty, so a size of 0 is a stream that ended before it
-    size = int.from_bytes(pipe.read(8), "little")
-    data = pipe.read(size)
-    return data.decode() if 0 < size == len(data) else None
-
-
-def _stop(pid: int, pipe) -> None:
-    """Kill and reap one worker, whatever it is doing, and close its pipe."""
-    # imported here: loading signal would cost every start of the CLI
-    import signal
-
-    os.kill(pid, signal.SIGKILL)
-    pipe.close()
-    os.waitpid(pid, 0)
-
-
 def _pieces(
     head: str, row: str, sep: str, tail: str, n: int, cells_of
 ) -> Generator[str, None, None]:
@@ -174,50 +130,17 @@ def _pieces(
     with ``cells_of(lo, hi)`` (the cells of rows [lo, hi) in row order) in
     pieces of at most ``_PIECE`` rows; and ``tail``.
 
-    Of k workers, worker i mod k formats piece i: worker 0 is this process,
-    the others are forked when the first piece is taken and each writes its
-    pieces to its own pipe, where a full pipe holds it until this process
-    reads. The pieces come out in order, one at a time. Where a worker's
-    stream ends early or it cannot be forked, this process formats that
-    worker's pieces itself, so the text never depends on the workers.
-    However the generator ends, its workers are killed and reaped.
+    The pieces are ``ordered_map``'s: worker i mod k formats piece i, the
+    forked workers from when the first piece is taken, and the pieces come
+    out in order, one at a time, with the same text for any k. However the
+    generator ends, its workers are killed and reaped.
     """
     yield head
-    starts = range(0, n, _PIECE)
-    k = _workers(len(starts))
 
     def piece(lo: int) -> str:
         return _piece(row, sep, n, cells_of, lo)
 
-    workers = {}  # j -> (pid, pipe) of forked worker j
-    owner = os.getpid()
-    try:
-        for j in range(1, k):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
-                os.close(r)
-                _serve(w, piece, starts[j::k])
-            os.close(w)
-            workers[j] = (pid, open(r, "rb"))
-        for i, lo in enumerate(starts):
-            text = None
-            if i % k in workers:
-                text = _receive(workers[i % k][1])
-                if text is None:  # the worker ended early: its pieces are ours
-                    _stop(*workers.pop(i % k))
-            yield piece(lo) if text is None else text
-    finally:
-        # only the process that forked them stops the workers: a worker may
-        # itself collect a generator left over from an earlier table
-        if os.getpid() == owner:
-            for worker in workers.values():
-                _stop(*worker)
+    yield from ordered_map(piece, range(0, n, _PIECE))
     yield tail
 
 

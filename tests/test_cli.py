@@ -226,6 +226,26 @@ def test_overflowing_finite_configs_exit_3(tmp_path):
             assert len(proc.stderr.splitlines()) == 1, (name, command, proc.stderr)
 
 
+def test_an_overflow_in_a_forked_workers_sub_block_exits_3(tmp_path, capfd, monkeypatch):
+    # theta = xi z overflows in the second of two sub-blocks only, which the
+    # forked worker owns; capfd also sees whatever the worker writes to fd 2
+    medium = {
+        "total_length_m": 10.0,
+        "beat_length_m": 2.0 * math.pi,
+        "profile": {"xi_over_delta": 2.7e307},
+    }
+    doc = {"front_end": {"kind": "spun_fiber", "n_segments": 2 * fs.spun._SUB, "medium": medium}}
+    p = tmp_path / "late_overflow.json"
+    p.write_text(json.dumps(doc))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    code, out, err = run_main(capfd, "simulate", "--config", str(p))
+    assert (code, out) == (3, ""), err
+    assert err.startswith("focsim: numeric domain error: spin angle is not finite")
+    assert len(err.splitlines()) == 1, err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_converge_emits_ratio_column():
     proc = run_cli("converge", "--counts", "256,512", "--reference-n", "4096")
     lines = proc.stdout.splitlines()

@@ -6,7 +6,9 @@ reference implementation in _frozen.
 """
 
 import dataclasses
+import errno
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -234,23 +236,101 @@ _SUB = fs.spun._SUB
 _CHUNK = fs.spun._CHUNK
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of workers forked so far, as a list of one entry each."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("angle_rule", ["left", "midpoint"])
 @pytest.mark.parametrize("n", [1, _SUB - 1, _SUB, _SUB + 1, 3 * _SUB + 77, _CHUNK + 1])
-def test_sub_block_trees_keep_the_whole_chunk_bits(n, angle_rule):
+def test_sub_block_trees_keep_the_whole_chunk_bits(n, angle_rule, forks, monkeypatch):
     """total_matrix against one pairwise tree over each whole chunk: the
-    sub-block trees must regroup nothing, so the bits are equal."""
+    sub-block trees must regroup nothing, so the bits are equal, whether
+    1, 2 or 3 usable CPUs share the sub-blocks."""
     spun = fs.spun
     grid = grid_for(DEMO, n)
     want = np.eye(2, dtype=np.complex128)
+    sub_blocks = []
     for lo, hi in spun._chunks(DEMO, grid):
         want = spun._ordered_product(spun._segment_block(DEMO, n, lo, hi, angle_rule)) @ want
-    assert np.array_equal(total_matrix(DEMO, grid, angle_rule=angle_rule), want)
+        sub_blocks.append(-(-(hi - lo) // _SUB))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        del forks[:]
+        assert np.array_equal(total_matrix(DEMO, grid, angle_rule=angle_rule), want), cpus
+        # each chunk forks a worker per usable CPU and sub-block but the first
+        assert len(forks) == sum(min(cpus, b) - 1 for b in sub_blocks), cpus
+        _assert_no_child()
+
+
+@pytest.mark.parametrize("failure", ["exit at once", "no fork"])
+def test_the_bits_do_not_depend_on_a_worker(failure, forks, monkeypatch):
+    # three sub-blocks; of two workers, the forked one owns sub-block 1
+    grid = grid_for(DEMO, 2 * _SUB + 77)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = total_matrix(DEMO, grid)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if failure == "no fork":
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        parent, block = os.getpid(), fs.spun._segment_block
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return block(*args)
+
+        monkeypatch.setattr(fs.spun, "_segment_block", dying)
+    assert np.array_equal(total_matrix(DEMO, grid), want)
+    assert len(forks) == (0 if failure == "no fork" else 1)
+    _assert_no_child()
+
+
+# constant spin whose angle theta = xi z overflows past z = 2L/3 only: over
+# 2 * _SUB segments, in the second sub-block, which a forked worker owns
+LATE_OVERFLOW = fs.SpunMediumSpec(10.0, 1.0, fs.SpinProfile("constant", 2.7e307))
+
+
+@pytest.mark.parametrize("angle_rule", ["left", "midpoint"])
+def test_an_overflow_in_a_workers_sub_block_raises_as_in_one_process(
+    angle_rule, forks, monkeypatch
+):
+    n = 2 * _SUB
+    with np.errstate(over="ignore"):
+        theta = LATE_OVERFLOW.profile.spin_angle(np.arange(n) * (LATE_OVERFLOW.total_length_m / n))
+    assert np.isfinite(theta[:_SUB]).all() and not np.isfinite(theta[_SUB:]).all()
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        with pytest.raises(NumericDomainError, match="^spin angle is not finite$"):
+            total_matrix(LATE_OVERFLOW, grid_for(LATE_OVERFLOW, n), angle_rule=angle_rule)
+        _assert_no_child()
+    assert len(forks) == 1
 
 
 def test_total_matrix_memory_is_bounded():
-    # the traced peak is one sub-block's segments and temporaries: 1.86 MB
-    # at 2^20 segments, where one tree over each whole 2^19-segment chunk
-    # peaked at 58.7 MB (tracemalloc, numpy 2.4.6)
+    # tracemalloc sees only this process, which still holds one sub-block
+    # at a time whatever its forked workers do: the traced peak is one
+    # sub-block's segments and temporaries, 1.86 MB at 2^20 segments,
+    # where one tree over each whole 2^19-segment chunk peaked at 58.7 MB
+    # (tracemalloc, numpy 2.4.6)
     grid = grid_for(DEMO, 1 << 20)
     tracemalloc.start()
     try:

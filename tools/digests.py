@@ -15,7 +15,9 @@ The cases:
 
 * total_matrix and the propagate_trajectory ellipticities of the default,
   high_order_qwp and spun_fiber media, under both angle rules, at segment
-  counts on and around spun's block, sub-block and chunk sizes;
+  counts on and around spun's block, sub-block and chunk sizes; past one
+  sub-block, total_matrix shares its sub-block products among forked
+  workers, and ``taskset -c 0`` runs them all in one process;
 * run_current_sweep columns behind seeded plates, over currents that
   include fringe nulls, and behind both distributed front ends;
 * seeded 8 x 8, 5 x 4, 1 x 1 and 1 x 7 imperfection scans: their cells,
