@@ -423,10 +423,16 @@ def load_config(path: str) -> AppConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer of more digits than int() converts, or nesting deeper
+        # than the decoder recurses
+        raise ConfigError(f"invalid JSON: {exc}") from exc
     return parse_config(obj)
 
 

@@ -83,7 +83,7 @@ class SpinProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"unknown spin profile kind {self.kind!r}")
-        if self.kind in ("linear", "cosine") and self.transition_l2_m <= 0.0:
+        if self.kind in ("linear", "cosine") and not self.transition_l2_m > 0.0:
             raise ValueError(f"{self.kind} profile needs a positive transition length")
 
     def spin_angle(self, z):
@@ -113,7 +113,7 @@ class SpunMediumSpec:
     profile: SpinProfile
 
     def __post_init__(self):
-        if self.total_length_m <= 0.0:
+        if not self.total_length_m > 0.0:
             raise ValueError("total length must be positive")
         if self.profile.kind in ("linear", "cosine"):
             settle = self.profile.lead_in_l1_m + self.profile.transition_l2_m
@@ -138,7 +138,7 @@ class PropagationGrid:
     def __post_init__(self):
         if self.n_segments < 1:
             raise ValueError("need at least one segment")
-        if self.total_length_m <= 0.0:
+        if not self.total_length_m > 0.0:
             raise ValueError("grid length must be positive")
 
     def z_samples(self) -> npt.NDArray[np.float64]:
@@ -406,7 +406,7 @@ def estimate_segments(total_length_m: float, tolerance_eps: float) -> int:
     C was calibrated once against the measured first-order error constant of
     the default medium; the floor keeps degenerate inputs usable.
     """
-    if total_length_m <= 0.0:
+    if not total_length_m > 0.0:
         raise ValueError("length must be positive")
     if not 0.0 < tolerance_eps < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")

@@ -6,9 +6,8 @@ pieces of at most ``_PIECE`` rows, each one %-fill of a row template with
 that piece's cells in row order, so rendering holds one piece at a time
 and ``render`` is the join of the pieces:
 
-* CSV: when every column is a float64 array, each cell is "%.17g" of the
-  float (17 significant digits round-trip an IEEE double exactly);
-  otherwise every cell's text is ``_csv_cell``.
+* CSV: a tuple column's cell text is ``_csv_cell``; an array column's floats
+  fill "%.17g" slots, the same text (17 digits round-trip a double exactly).
 * JSON: the exact ``json.dumps(obj, indent=1)`` layout, each cell's text
   being ``_json_text``: ``repr`` of a finite float, else ``json.dumps`` of
   ``_json_cell`` (NaN becomes null; +-inf stays Infinity/-Infinity).
@@ -144,11 +143,17 @@ def _pieces(
     yield tail
 
 
-def _texts(table: ResultTable, text_of):
-    """``cells_of`` for ``_pieces``: ``text_of`` of each cell, row by row."""
+def _filler(table: ResultTable, converters):
+    """``cells_of`` for ``_pieces``: rows [lo, hi) as (hi - lo) * k slots, column
+    j's cells, through ``converters[j]`` unless that is None, in slots ``j::k``."""
+    k = len(table.cells)
 
-    def cells_of(lo: int, hi: int):
-        return chain.from_iterable(zip(*(map(text_of, _cells(c[lo:hi])) for c in table.cells)))
+    def cells_of(lo: int, hi: int) -> list:
+        slots = [None] * ((hi - lo) * k)
+        for j, (col, text_of) in enumerate(zip(table.cells, converters)):
+            cells = _cells(col[lo:hi])
+            slots[j::k] = cells if text_of is None else map(text_of, cells)
+        return slots
 
     return cells_of
 
@@ -179,21 +184,14 @@ def _csv_pieces(table: ResultTable) -> Generator[str, None, None]:
     for k, v in table.extra_metadata:
         head += f", {_csv_text(k, 'metadata key')}={_csv_text(v, 'metadata value')}"
     head += "\n" + ",".join(_csv_text(c, "column name") for c in table.columns) + "\n"
-    if all(isinstance(col, np.ndarray) for col in table.cells):
-        # "%.17g" % v is format(v, ".17g"), _csv_cell's text of a float
-        cell = "%.17g"
-
-        def cells_of(lo, hi):
-            return np.column_stack([c[lo:hi] for c in table.cells]).ravel().tolist()
-
-    else:
-        # text cells are checked here, before the first piece is taken
-        for v in chain.from_iterable(c for c in table.cells if isinstance(c, tuple)):
-            if isinstance(v, str):
-                _csv_text(v, "cell")
-        cell, cells_of = "%s", _texts(table, _csv_cell)
-    row = ",".join([cell] * len(table.columns)) + "\n"
-    return _pieces(head, row, "", "", table.n_rows, cells_of)
+    # text cells are checked here, before the first piece is taken
+    for v in chain.from_iterable(c for c in table.cells if isinstance(c, tuple)):
+        if isinstance(v, str):
+            _csv_text(v, "cell")
+    # "%.17g" % v is format(v, ".17g"), _csv_cell's text of a float
+    converters = [None if isinstance(col, np.ndarray) else _csv_cell for col in table.cells]
+    row = ",".join(["%.17g" if f is None else "%s" for f in converters]) + "\n"
+    return _pieces(head, row, "", "", table.n_rows, _filler(table, converters))
 
 
 def _json_cell(v: Cell) -> Cell:
@@ -216,7 +214,8 @@ def _json_pieces(table: ResultTable) -> Generator[str, None, None]:
     n = table.n_rows
     row = "  [\n   " + ",\n   ".join(["%s"] * len(table.columns)) + "\n  ]"
     brackets = ("[\n", "\n ]\n}\n") if n else ("[", "]\n}\n")
-    return _pieces(head + brackets[0], row, ",\n", brackets[1], n, _texts(table, _json_text))
+    cells_of = _filler(table, [_json_text] * len(table.columns))
+    return _pieces(head + brackets[0], row, ",\n", brackets[1], n, cells_of)
 
 
 def render_pieces(table: ResultTable, fmt: str) -> Generator[str, None, None]:

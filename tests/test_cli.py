@@ -335,6 +335,16 @@ def test_bad_config_exits_2_with_the_key_path(tmp_path, capsys):
         assert run_main(capsys, argv[0], "--config", str(p)) == (2, "", err), argv
 
 
+def test_a_config_file_that_is_not_utf8_exits_2(tmp_path):
+    # the decode error once escaped load_config as a traceback and exit 1
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe{}")
+    proc = run_cli("simulate", "--config", str(p), check=False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("focsim: config error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 # every value a single key is set to in turn
 _MUTANTS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 0, -1, True, "x", None, [], {})
 

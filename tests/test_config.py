@@ -241,6 +241,16 @@ def test_load_config_reports_file_problems(tmp_path):
     bad.write_text('{\n "front_end": {,}\n}\n')
     with pytest.raises(ConfigError, match="line 2"):
         load_config(str(bad))
+    # each of these raised out of open().read() or json.loads untranslated
+    malformed = (
+        (b"\xff\xfe{}", "not UTF-8"),
+        (b'{"coil": {"turns": ' + b"1" * 5000 + b"}}", "invalid JSON: Exceeds the limit"),
+        (b"[" * 100_000, "invalid JSON: maximum recursion depth"),
+    )
+    for data, message in malformed:
+        bad.write_bytes(data)
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(bad))
 
 
 def test_medium_config_builds_consistent_delta():

@@ -60,6 +60,10 @@ def test_profile_validation():
         fs.SpinProfile("linear", 10.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         fs.SpinProfile("cosine", 10.0, 0.0, -0.1)
+    # NaN is not positive: each kind says so at construction
+    for kind in ("linear", "cosine"):
+        with pytest.raises(ValueError, match="positive transition length"):
+            fs.SpinProfile(kind, 10.0, 0.0, math.nan)
     with pytest.raises(ValueError, match="unknown spin profile kind"):
         fs.SpinProfile("bogus", 10.0, 0.0, 0.1)
 
@@ -141,6 +145,9 @@ def test_medium_validation():
     prof = fs.SpinProfile("linear", 10.0, 0.1, 0.2)
     with pytest.raises(ValueError):
         fs.SpunMediumSpec(0.0, 100.0, prof)
+    # a NaN length once built, then failed as a non-finite spin angle
+    with pytest.raises(ValueError, match="total length must be positive"):
+        fs.SpunMediumSpec(math.nan, 1.0, fs.SpinProfile("constant", 1.0))
     with pytest.raises(ValueError):
         fs.SpunMediumSpec(0.25, 100.0, prof)  # shorter than lead-in + transition
     fs.SpunMediumSpec(0.3, 100.0, prof)
@@ -168,6 +175,9 @@ def test_grid_basics():
         fs.PropagationGrid(0, 0.2)
     with pytest.raises(ValueError):
         fs.PropagationGrid(4, 0.0)
+    # once "z samples repeat" from the first use of the grid
+    with pytest.raises(ValueError, match="grid length must be positive"):
+        fs.PropagationGrid(4, math.nan)
     assert grid_for(DEMO, 7).total_length_m == DEMO.total_length_m
     with pytest.raises(ValueError):
         total_matrix(DEMO, fs.PropagationGrid(8, DEMO.total_length_m * 2))
@@ -683,6 +693,9 @@ def test_estimate_segments_formula_and_floor():
     assert fs.estimate_segments(1e-3, 0.5) == 64
     with pytest.raises(ValueError):
         fs.estimate_segments(0.0, 1e-3)
+    # once numpy's "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="length must be positive"):
+        fs.estimate_segments(math.nan, 1e-3)
     with pytest.raises(ValueError):
         fs.estimate_segments(0.3, 0.0)
     with pytest.raises(ValueError):

@@ -22,6 +22,9 @@ The cases:
   include fringe nulls, and behind both distributed front ends;
 * seeded 8 x 8, 5 x 4, 1 x 1 and 1 x 7 imperfection scans: their cells,
   and the detected intensities of their stacked plates;
+* a library-rendered table of three pieces of rows, in CSV and JSON: a
+  float64 array column holding NaN, +-inf and -0.0 beside tuple columns of
+  str, None, bool, int and float cells, a mix no CLI command writes;
 * every CLI subcommand, in CSV and JSON, with small segment counts, and a
   stride-1 trajectory of three pieces of rows, which the table formatter
   shares among its forked workers.
@@ -163,6 +166,21 @@ def scan_cases(fs):
     yield "scan/1x7", functools.partial(_scan, fs, 1, 7, 3, (0.0, null, 1500.0, 2000.0))
 
 
+def table_cases(fs):
+    from focsim.tables import _PIECE
+
+    n = 2 * _PIECE + 37
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    x[::97], x[1::89], x[2::83], x[3::79] = np.nan, np.inf, -np.inf, -0.0
+    kinds = (None, True, False, 0, -(10**20), 2.5e-310, float("nan"), float("-inf"), 'a "q" é', "")
+    mixed = tuple(kinds[i % len(kinds)] if i % 3 else float(v) for i, v in enumerate(rng.normal(size=n)))
+    names = tuple(f"s{i}" for i in range(n))
+    table = fs.ResultTable(("x", "mixed", "name"), (x, mixed, names), grid_n=n, extra_metadata=(("k", "v"),))
+    for fmt in ("csv", "json"):
+        yield f"tables/mixed/{fmt}", lambda fmt=fmt: (fs.render(table, fmt).encode(),)
+
+
 _IMPERFECT = {"front_end": {"kind": "imperfect_qwp", "cut_deviation_m": 3e-4, "splice_angle_rad": -0.02}}
 _LINEAR = {"medium": {"profile": {"kind": "linear", "xi_over_delta": 4.0}}}
 # (case name, config document or None, arguments); the front-end configs go
@@ -224,7 +242,8 @@ def main(argv=None) -> int:
 
     print(host_line(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        cases = (*spun_cases(fs, spun), *sweep_cases(fs), *scan_cases(fs), *cli_cases(pathlib.Path(tmp)))
+        cases = (*spun_cases(fs, spun), *sweep_cases(fs), *scan_cases(fs), *table_cases(fs),
+                 *cli_cases(pathlib.Path(tmp)))
         for name, run in cases:
             print(name, digest(*run()), flush=True)
     return 0
