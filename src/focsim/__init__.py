@@ -37,7 +37,6 @@ from .elements import (
 )
 from .errors import (
     ConfigError,
-    EmptyWindowError,
     FocsimError,
     NumericDomainError,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "splice45_in",
     "splice45_out",
     "ConfigError",
-    "EmptyWindowError",
     "FocsimError",
     "NumericDomainError",
     "ConvergenceResult",

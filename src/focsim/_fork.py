@@ -9,10 +9,10 @@ own pipe, where a full pipe holds it until the caller reads. The caller
 never pickles its own results. Nothing sets the count.
 
 Where a worker's stream ends early (fn raised in it, it died, or it could
-not be forked), the caller computes that worker's items itself. So the
-results, and any exception fn raises, are those of one process, whatever
-the workers do. However the generator ends, its workers are killed and
-reaped, by the process that forked them only.
+not be given a pipe or forked), the caller computes that worker's items
+itself. So the results, and any exception fn raises, are those of one
+process, whatever the workers do. However the generator ends, its workers
+are killed and reaped, by the process that forked them only.
 """
 
 from __future__ import annotations
@@ -83,7 +83,10 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> Generator[R, None, 
     owner = os.getpid()
     try:
         for j in range(1, k):
-            r, w = os.pipe()
+            try:
+                r, w = os.pipe()
+            except OSError:
+                break
             try:
                 pid = os.fork()
             except OSError:

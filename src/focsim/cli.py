@@ -23,7 +23,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 
 from .config import AppConfig, default_config, load_config, parse_config, serialize_config
-from .errors import ConfigError, FocsimError, NumericDomainError
+from .errors import ConfigError, NumericDomainError
 from .experiments import (
     ConvergenceRow,
     SweepResult,
@@ -261,9 +261,6 @@ def main(argv=None) -> int:
         return 2
     except NumericDomainError as exc:
         print(f"focsim: numeric domain error: {exc}", file=sys.stderr)
-        return 3
-    except FocsimError as exc:
-        print(f"focsim: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         print(f"focsim: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)

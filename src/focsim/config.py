@@ -2,7 +2,7 @@
 
 Files are JSON. Each section is a frozen dataclass, and each of its keys
 declares its own check in ``field(metadata=...)``: a finite number, a
-positive or non-negative length, an integer of at least k, one of a set, or
+positive or non-negative length, an integer in a range, one of a set, or
 a non-empty list of one of these. One generic reader applies those checks
 over a default instance, so a missing key keeps the default's value at every
 depth, and one generic writer serializes the fields in declaration order.
@@ -71,18 +71,23 @@ def _length(positive: bool):
     return check
 
 
-# the largest int64: numpy indexes and float products take every count up to it
+# the largest int64: numpy indexes and float products take every count up
+# to it, but numpy describes no array of more bytes than that
 _INT_MAX = 2**63 - 1
+# so a count that sizes an n-element array stops well below it: the chain's
+# (n, 2, 2) complex128 stack takes 64 bytes per current, and no run past
+# this count can complete on any machine
+_COUNT_MAX = int(np.iinfo(np.intp).max) // 64
 
 
-def _integer(least: int):
+def _integer(least: int, most: int = _INT_MAX):
     def check(v, path: str) -> int:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError("expected an integer", path)
         if v < least:
             raise ConfigError(f"must be at least {least}", path)
-        if v > _INT_MAX:
-            raise ConfigError(f"must be at most {_INT_MAX}", path)
+        if v > most:
+            raise ConfigError(f"must be at most {most}", path)
         return v
 
     return check
@@ -224,7 +229,7 @@ class CoilConfig:
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    n_segments: int = _key(_integer(1))
+    n_segments: int = _key(_integer(1, _COUNT_MAX))
     metric_kind: str = _key(_one_of(METRIC_KINDS))
     stride: int = _key(_integer(1))
 
@@ -232,21 +237,21 @@ class TrajectoryConfig:
 @dataclass(frozen=True)
 class CurrentSweepConfig:
     max_a: float = _key(_number)
-    points: int = _key(_integer(2))
+    points: int = _key(_integer(2, _COUNT_MAX))
 
 
 @dataclass(frozen=True)
 class XiSweepConfig:
     ratios: tuple[float, ...] = _key(_list_of(_number))
     profiles: tuple[str, ...] = _key(_list_of(_one_of(PROFILE_KINDS)))
-    n_segments: int = _key(_integer(1))
+    n_segments: int = _key(_integer(1, _COUNT_MAX))
 
 
 @dataclass(frozen=True)
 class PerturbationConfig:
     wavelength_drift_m: float = _key(_wavelength_drift)
     temperature_excursion_c: float = _key(_number)
-    n_segments: int = _key(_integer(1))
+    n_segments: int = _key(_integer(1, _COUNT_MAX))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 Numeric-domain failures (a fringe null at a simulated current, an
 overflowing or underflowing model value, an empty metric window) are kept
 distinct from configuration mistakes so the CLI can map them to different
-exit codes: ConfigError exits 2, NumericDomainError 3. Only the empty
-window has its own subclass.
+exit codes: ConfigError exits 2, NumericDomainError 3.
 """
 
 from __future__ import annotations
@@ -24,7 +23,3 @@ class ConfigError(FocsimError):
 
 class NumericDomainError(FocsimError):
     """A parameter landed where the model's formulas are undefined."""
-
-
-class EmptyWindowError(NumericDomainError):
-    """Metric window contains fewer than two trajectory samples."""

@@ -45,7 +45,7 @@ import numpy.typing as npt
 
 from ._fork import ordered_map
 from .constants import constant
-from .errors import EmptyWindowError, NumericDomainError
+from .errors import NumericDomainError
 from .jones import JonesMatrix, JonesVector, jones_vector
 
 _CHUNK = 1 << 19
@@ -85,6 +85,8 @@ class SpinProfile:
             raise ValueError(f"unknown spin profile kind {self.kind!r}")
         if self.kind in ("linear", "cosine") and not self.transition_l2_m > 0.0:
             raise ValueError(f"{self.kind} profile needs a positive transition length")
+        if not (math.isfinite(self.lead_in_l1_m) and math.isfinite(self.transition_l2_m)):
+            raise ValueError("lead-in and transition lengths must be finite")
 
     def spin_angle(self, z):
         """Cumulative axis orientation theta(z) = integral of xi. Radians."""
@@ -113,8 +115,8 @@ class SpunMediumSpec:
     profile: SpinProfile
 
     def __post_init__(self):
-        if not self.total_length_m > 0.0:
-            raise ValueError("total length must be positive")
+        if not 0.0 < self.total_length_m < math.inf:
+            raise ValueError("total length must be positive and finite")
         if self.profile.kind in ("linear", "cosine"):
             settle = self.profile.lead_in_l1_m + self.profile.transition_l2_m
             if self.total_length_m + 1e-12 < settle:
@@ -138,8 +140,8 @@ class PropagationGrid:
     def __post_init__(self):
         if self.n_segments < 1:
             raise ValueError("need at least one segment")
-        if not self.total_length_m > 0.0:
-            raise ValueError("grid length must be positive")
+        if not 0.0 < self.total_length_m < math.inf:
+            raise ValueError("grid length must be positive and finite")
 
     def z_samples(self) -> npt.NDArray[np.float64]:
         """The n_segments + 1 state positions, 0 through L inclusive."""
@@ -313,12 +315,10 @@ def propagate_trajectory(
     if metric_kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
     n = grid.n_segments
+    z_m, epsilon = grid.z_samples(), np.empty(n + 1, dtype=np.float64)
     try:
         traj = EllipticityTrajectory(
-            z_m=grid.z_samples(),
-            epsilon=np.empty(n + 1, dtype=np.float64),
-            metric_kind=metric_kind,
-            settle_z_m=min(spec.settle_z_m, spec.total_length_m),
+            z_m, epsilon, metric_kind, min(spec.settle_z_m, spec.total_length_m)
         )
     except ValueError as exc:
         # dz > 0 is not enough: linspace over a few subnormals repeats values
@@ -381,7 +381,7 @@ def stability_metrics(
     keep = ~np.isnan(e)
     z, e = z[keep], e[keep]
     if len(e) < 2:
-        raise EmptyWindowError(f"window {window!r} holds fewer than two samples")
+        raise NumericDomainError(f"window {window!r} holds fewer than two samples")
     span = float(z[-1] - z[0])
     mean = float(np.trapezoid(e, z)) / span
     rms = math.sqrt(max(float(np.trapezoid((e - mean) ** 2, z)) / span, 0.0))
@@ -406,8 +406,8 @@ def estimate_segments(total_length_m: float, tolerance_eps: float) -> int:
     C was calibrated once against the measured first-order error constant of
     the default medium; the floor keeps degenerate inputs usable.
     """
-    if not total_length_m > 0.0:
-        raise ValueError("length must be positive")
+    if not 0.0 < total_length_m < math.inf:
+        raise ValueError("length must be positive and finite")
     if not 0.0 < tolerance_eps < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")
     c = float(constant("segment_calibration_c"))

@@ -7,6 +7,7 @@ the many small runs of the malformed-input checks call cli.main in-process.
 """
 
 import copy
+import errno
 import json
 import math
 import os
@@ -315,6 +316,10 @@ def test_bad_config_exits_2_with_the_key_path(tmp_path, capsys):
         (("trajectory", "--stride", "0"), "trajectory.stride", 0),
         (("trajectory", "--stride", "-3"), "trajectory.stride", -3),
         (("trajectory", "--stride", str(2**63)), "trajectory.stride", 2**63),
+        # numpy describes no array of 2^62 elements: once a traceback and
+        # exit 1, or exit 3 as "z samples repeat"
+        (("sweep-current", "--points", str(2**62)), "current_sweep.points", 2**62),
+        (("trajectory", "--segments", str(2**62)), "trajectory.n_segments", 2**62),
         (("sweep-current", "--points", "1"), "current_sweep.points", 1),
         (("converge", "--counts", "0"), "convergence.segment_counts", [0]),
         (("trajectory", "--segments", "0"), "trajectory.n_segments", 0),
@@ -613,6 +618,9 @@ def test_stdout_is_deterministic_and_timing_goes_to_stderr():
 
 
 def test_out_file_matches_stdout_bytes(tmp_path, monkeypatch):
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
     p = tmp_path / "t.csv"
     run_cli("simulate", "--out", str(p))
     assert p.read_text() == run_cli("simulate").stdout
@@ -628,3 +636,12 @@ def test_out_file_matches_stdout_bytes(tmp_path, monkeypatch):
             mp.setattr(os, "sched_getaffinity", lambda pid: {0})
             assert cli.main([*args, "--out", str(p)]) == 0
         assert p.read_bytes() == want, fmt
+        # and where no pipe can be made, which once exited 4 as if the
+        # output had failed: no worker is forked either
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            mp.setattr(os, "pipe", no_pipe)
+            assert cli.main([*args, "--out", str(p)]) == 0
+        assert p.read_bytes() == want, fmt
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

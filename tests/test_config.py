@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import focsim as fs
@@ -135,6 +136,19 @@ def test_value_constraints():
     with pytest.raises(ConfigError) as e:
         parse_config({"convergence": {"segment_counts": [4096], "reference_n": 4096}})
     assert _path_of(e) == "convergence.reference_n"
+    # a count that sizes an array stops where numpy could still describe
+    # the chain's 64 bytes per element
+    ceiling = np.iinfo(np.intp).max // 64
+    for section, key in (
+        ("current_sweep", "points"),
+        ("trajectory", "n_segments"),
+        ("xi_sweep", "n_segments"),
+        ("perturbation", "n_segments"),
+    ):
+        assert getattr(getattr(parse_config({section: {key: ceiling}}), section), key) == ceiling
+        with pytest.raises(ConfigError, match=f"must be at most {ceiling}$") as e:
+            parse_config({section: {key: ceiling + 1}})
+        assert _path_of(e) == f"{section}.{key}"
 
 
 def test_front_end_kinds_parse_and_build():

@@ -16,7 +16,7 @@ import pytest
 
 import focsim as fs
 from focsim.constants import constant
-from focsim.errors import EmptyWindowError, NumericDomainError
+from focsim.errors import NumericDomainError
 from focsim.spun import (
     conversion_length,
     grid_for,
@@ -64,6 +64,11 @@ def test_profile_validation():
     for kind in ("linear", "cosine"):
         with pytest.raises(ValueError, match="positive transition length"):
             fs.SpinProfile(kind, 10.0, 0.0, math.nan)
+    # a NaN lead-in once built, then failed as a non-finite spin angle
+    with pytest.raises(ValueError, match="lengths must be finite"):
+        fs.SpinProfile("linear", 10.0, math.nan, 0.1)
+    with pytest.raises(ValueError, match="lengths must be finite"):
+        fs.SpinProfile("linear", 10.0, 0.0, math.inf)
     with pytest.raises(ValueError, match="unknown spin profile kind"):
         fs.SpinProfile("bogus", 10.0, 0.0, 0.1)
 
@@ -148,6 +153,8 @@ def test_medium_validation():
     # a NaN length once built, then failed as a non-finite spin angle
     with pytest.raises(ValueError, match="total length must be positive"):
         fs.SpunMediumSpec(math.nan, 1.0, fs.SpinProfile("constant", 1.0))
+    with pytest.raises(ValueError, match="total length must be positive and finite"):
+        fs.SpunMediumSpec(math.inf, 1.0, fs.SpinProfile("constant", 1.0))
     with pytest.raises(ValueError):
         fs.SpunMediumSpec(0.25, 100.0, prof)  # shorter than lead-in + transition
     fs.SpunMediumSpec(0.3, 100.0, prof)
@@ -178,6 +185,8 @@ def test_grid_basics():
     # once "z samples repeat" from the first use of the grid
     with pytest.raises(ValueError, match="grid length must be positive"):
         fs.PropagationGrid(4, math.nan)
+    with pytest.raises(ValueError, match="grid length must be positive and finite"):
+        fs.PropagationGrid(4, math.inf)
     assert grid_for(DEMO, 7).total_length_m == DEMO.total_length_m
     with pytest.raises(ValueError):
         total_matrix(DEMO, fs.PropagationGrid(8, DEMO.total_length_m * 2))
@@ -287,7 +296,7 @@ def test_sub_block_trees_keep_the_whole_chunk_bits(n, angle_rule, forks, monkeyp
         _assert_no_child()
 
 
-@pytest.mark.parametrize("failure", ["exit at once", "no fork"])
+@pytest.mark.parametrize("failure", ["exit at once", "no fork", "no pipe"])
 def test_the_bits_do_not_depend_on_a_worker(failure, forks, monkeypatch):
     # three sub-blocks; of two workers, the forked one owns sub-block 1
     grid = grid_for(DEMO, 2 * _SUB + 77)
@@ -300,6 +309,12 @@ def test_the_bits_do_not_depend_on_a_worker(failure, forks, monkeypatch):
             raise OSError(errno.EAGAIN, "no process to spare")
 
         monkeypatch.setattr(os, "fork", no_fork)
+    elif failure == "no pipe":
+
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
     else:
         parent, block = os.getpid(), fs.spun._segment_block
 
@@ -310,7 +325,7 @@ def test_the_bits_do_not_depend_on_a_worker(failure, forks, monkeypatch):
 
         monkeypatch.setattr(fs.spun, "_segment_block", dying)
     assert np.array_equal(total_matrix(DEMO, grid), want)
-    assert len(forks) == (0 if failure == "no fork" else 1)
+    assert len(forks) == (1 if failure == "exit at once" else 0)
     _assert_no_child()
 
 
@@ -636,7 +651,7 @@ def test_axis_ratio_metric_marks_undefined_samples():
         med, grid_for(med, 64), e_in=fs.jones_vector(0.0, 1.0), metric_kind="axis_ratio"
     )
     assert np.all(np.isnan(traj.epsilon))
-    with pytest.raises(EmptyWindowError):
+    with pytest.raises(NumericDomainError, match="fewer than two samples"):
         stability_metrics(traj)
     # the principal metric is defined for the same launch
     traj2 = propagate_trajectory(med, grid_for(med, 64), e_in=fs.jones_vector(0.0, 1.0))
@@ -660,9 +675,9 @@ def test_stability_window_selection():
     )
     full = stability_metrics(traj, window=(0.0, med.total_length_m))
     assert full.delta_eps_pp > stability_metrics(traj).delta_eps_pp
-    with pytest.raises(EmptyWindowError):
+    with pytest.raises(NumericDomainError, match="fewer than two samples"):
         stability_metrics(traj, window=(2.0, 3.0))
-    with pytest.raises(EmptyWindowError):
+    with pytest.raises(NumericDomainError, match="fewer than two samples"):
         stability_metrics(traj, window=(0.1, 0.1 + 1e-9))
 
 
@@ -696,6 +711,9 @@ def test_estimate_segments_formula_and_floor():
     # once numpy's "cannot convert float NaN to integer"
     with pytest.raises(ValueError, match="length must be positive"):
         fs.estimate_segments(math.nan, 1e-3)
+    # once OverflowError from math.ceil(inf)
+    with pytest.raises(ValueError, match="length must be positive and finite"):
+        fs.estimate_segments(math.inf, 1e-3)
     with pytest.raises(ValueError):
         fs.estimate_segments(0.3, 0.0)
     with pytest.raises(ValueError):
