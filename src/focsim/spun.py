@@ -18,10 +18,9 @@ start: every sub-block is reduced on its own, then the sub-block products
 are reduced in order. No pair of the whole-chunk tree crosses a sub-block
 seam, so the grouping, and every bit of the result, are those of one tree
 over the whole chunk, while each process holds one sub-block at a time.
-The sub-block products of a chunk are shared among the calling process
-and workers forked from it, one per usable CPU (``_fork.ordered_map``);
-each runs the same products on the same data, so the bits do not depend
-on the count.
+The sub-block products of a chunk are computed through
+``_fork.ordered_map``. A sub-block's product depends only on its segments,
+so the bits are the same for any worker count.
 
 Trajectory scans carry only the Jones state: each segment is the SU(2)
 pair (alpha, beta) of its matrix [[alpha, -conj(beta)], [beta,
@@ -411,4 +410,7 @@ def estimate_segments(total_length_m: float, tolerance_eps: float) -> int:
     if not 0.0 < tolerance_eps < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")
     c = float(constant("segment_calibration_c"))
-    return max(64, math.ceil(c * total_length_m**2 / tolerance_eps))
+    try:
+        return max(64, math.ceil(c * total_length_m**2 / tolerance_eps))
+    except OverflowError:  # from the square, or from the ceiling of inf
+        raise ValueError("segment estimate is not a finite float") from None

@@ -16,10 +16,8 @@ and ``render`` is the join of the pieces:
 Every check of a table (``_csv_text``: text that would break the CSV
 layout) runs before its first piece is produced.
 
-A table of more than one piece is formatted by up to one worker per usable
-CPU (``_fork.ordered_map``): the calling process and workers forked from
-it, each formatting every k-th piece. Nothing sets the count, and the
-pieces come out in order with the same bytes for any count.
+The pieces are formatted through ``_fork.ordered_map``. A piece's text
+depends only on its rows, so the bytes are the same for any worker count.
 Both formats are byte-deterministic for identical table values: no wall
 clock, no environment, no dict-ordering hazards.
 """
@@ -111,33 +109,19 @@ class ResultTable:
 _PIECE = 1 << 12
 
 
-def _piece(row: str, sep: str, n: int, cells_of, lo: int) -> str:
-    """Rows [lo, lo + ``_PIECE``) of ``n``: one %-fill of copies of the
-    ``row`` template, joined by ``sep`` and led by it after the first row.
-
-    One %-operation per piece keeps the per-cell work in C.
-    """
-    hi = min(lo + _PIECE, n)
-    template = (sep + row) * (hi - lo)
-    return (template[len(sep):] if lo == 0 else template) % tuple(cells_of(lo, hi))
-
-
 def _pieces(
     head: str, row: str, sep: str, tail: str, n: int, cells_of
 ) -> Generator[str, None, None]:
     """``head``; ``n`` copies of the ``row`` template joined by ``sep``, filled
     with ``cells_of(lo, hi)`` (the cells of rows [lo, hi) in row order) in
-    pieces of at most ``_PIECE`` rows; and ``tail``.
-
-    The pieces are ``ordered_map``'s: worker i mod k formats piece i, the
-    forked workers from when the first piece is taken, and the pieces come
-    out in order, one at a time, with the same text for any k. However the
-    generator ends, its workers are killed and reaped.
-    """
+    pieces of at most ``_PIECE`` rows, through ``ordered_map``; and ``tail``."""
     yield head
 
     def piece(lo: int) -> str:
-        return _piece(row, sep, n, cells_of, lo)
+        # one %-operation per piece keeps the per-cell work in C
+        hi = min(lo + _PIECE, n)
+        template = (sep + row) * (hi - lo)
+        return (template[len(sep):] if lo == 0 else template) % tuple(cells_of(lo, hi))
 
     yield from ordered_map(piece, range(0, n, _PIECE))
     yield tail

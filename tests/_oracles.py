@@ -3,8 +3,8 @@ library under test: Stokes and ellipticity algebra, unitarity and
 projective equality, the paper's printed tan-form plate, the nominal
 chain's closed form, the detected intensity behind a plate and behind a
 medium, the spin rate and fluctuation driver of each profile kind, one
-segment's matrix from scalar math calls, and a table's content read back
-from its JSON text.
+segment's matrix from scalar math calls, the exact segment product of a
+uniformly spun medium, and a table's content read back from its JSON text.
 
 The two intensity forms follow the chain's two return-pass conventions: a
 plate returns through its complex conjugate, a medium through its
@@ -134,6 +134,34 @@ def segment_matrix(delta_rad_per_m: float, theta_rad: float, dz_m: float):
         ],
         dtype=np.complex128,
     )
+
+
+def uniform_spin_product(
+    delta_rad_per_m: float, xi_rad_per_m: float, length_m: float, n: int, offset: float
+):
+    """J_N ... J_1 of n segments of a medium spun at the constant rate xi, in
+    long double: with theta_k = xi (k - 1 + offset) dz (offset 0 for the left
+    rule, 1/2 for the midpoint rule), R(-theta_{k+1}) R(theta_k) = R(-xi dz),
+    so the product is R(theta_N) (D R(-xi dz))^(N-1) D R(-theta_1), and the
+    power is taken by repeated squaring."""
+    ld = np.longdouble
+    dz = ld(length_m) / n
+    half = ld(delta_rad_per_m) * dz / 2
+
+    def rot(theta):
+        c, s = np.cos(theta), np.sin(theta)
+        return np.array([[c, -s], [s, c]], dtype=np.clongdouble)
+
+    ep = np.clongdouble(np.cos(half) + 1j * np.sin(half))
+    d = np.array([[ep, 0], [0, ep.conjugate()]], dtype=np.clongdouble)
+    base, power, k = d @ rot(-ld(xi_rad_per_m) * dz), np.eye(2, dtype=np.clongdouble), n - 1
+    while k:
+        if k & 1:
+            power = base @ power
+        base, k = base @ base, k >> 1
+    theta_1 = ld(xi_rad_per_m) * ld(offset) * dz
+    theta_n = ld(xi_rad_per_m) * (n - 1 + ld(offset)) * dz
+    return rot(theta_n) @ power @ d @ rot(-theta_1)
 
 
 def plate_intensity(w, f_rad):

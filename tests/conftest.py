@@ -1,7 +1,9 @@
 """Shared fixtures: the heavyweight campaign results are computed once per
 session and reused by the unit and acceptance layers, with their build time
-carried alongside so runtime budgets can still be asserted."""
+carried alongside so runtime budgets can still be asserted; the forks a test
+makes are counted, and no test may leave a child process behind."""
 
+import os
 import time
 from dataclasses import replace
 
@@ -37,6 +39,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             ok, detail = CRITERION_RESULTS[n]
             status = "PASS" if ok else "FAIL"
             terminalreporter.write_line(f"CRITERION {n:2d}: {status}  {detail}")
+
+
+@pytest.fixture(autouse=True)
+def no_child_is_left():
+    """After every test, this process has no child, running or exited."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked so far, in the order they were forked."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
 
 
 def medium_with_profile(kind: str, ratio: float) -> fs.SpunMediumSpec:

@@ -2,14 +2,18 @@
 
 Run from the repository root after any intentional change to output
 formatting or to the default scenario, then review the diff before
-committing; the CLI tests compare emitted bytes against these files.
+committing; the CLI tests compare emitted bytes against these files. The
+CLI runs from this checkout's src, whatever focsim is installed.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
 
-GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+SRC = ROOT / "src"
 
 
 def main() -> int:
@@ -28,6 +32,7 @@ def main() -> int:
             [sys.executable, "-m", "focsim.cli", *args, "--out", str(out)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr)
