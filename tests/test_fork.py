@@ -1,6 +1,7 @@
 """The ordered map that tables and spun share among forked workers: its
 whole contract, with a trivial ``fn``. The callers' tests check only that
-their bytes and bits are the same for any number of usable CPUs."""
+their bytes and bits are the same for any number of usable CPUs, and
+whatever a worker does."""
 
 import errno
 import gc

@@ -6,8 +6,10 @@ reference implementation in _frozen.
 """
 
 import dataclasses
+import errno
 import math
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -274,6 +276,61 @@ def test_sub_block_trees_keep_the_whole_chunk_bits(n, angle_rule, forks, monkeyp
         # each chunk forks a worker per usable CPU and sub-block but the first
         assert len(forks) == sum(min(cpus, b) - 1 for b in sub_blocks), cpus
 
+
+
+@pytest.mark.parametrize("failure", ["exit at once", "no fork", "no pipe"])
+def test_the_bits_do_not_depend_on_a_worker(failure, forks, monkeypatch):
+    # three sub-blocks; of two workers, the forked one owns sub-block 1
+    grid = grid_for(DEMO, 2 * _SUB + 77)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = total_matrix(DEMO, grid)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if failure == "no fork":
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    elif failure == "no pipe":
+
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+    else:
+        # the worker dies before it sends its sub-block's product
+        parent, dumps = os.getpid(), pickle.dumps
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", dying)
+    assert np.array_equal(total_matrix(DEMO, grid), want)
+    assert len(forks) == (1 if failure == "exit at once" else 0)
+
+
+# constant spin whose angle theta = xi z overflows past z = 2L/3 only: over
+# 2 * _SUB segments, in the second sub-block, which a forked worker owns
+LATE_OVERFLOW = fs.SpunMediumSpec(10.0, 1.0, fs.SpinProfile("constant", 2.7e307))
+
+
+@pytest.mark.parametrize("angle_rule", ["left", "midpoint"])
+def test_an_overflow_in_a_workers_sub_block_raises_as_in_one_process(
+    angle_rule, forks, monkeypatch
+):
+    n = 2 * _SUB
+    with np.errstate(over="ignore"):
+        theta = LATE_OVERFLOW.profile.spin_angle(np.arange(n) * (LATE_OVERFLOW.total_length_m / n))
+    assert np.isfinite(theta[:_SUB]).all() and not np.isfinite(theta[_SUB:]).all()
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        with pytest.raises(NumericDomainError, match="^spin angle is not finite$"):
+            total_matrix(LATE_OVERFLOW, grid_for(LATE_OVERFLOW, n), angle_rule=angle_rule)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1
 
 def test_total_matrix_memory_is_bounded():
     # tracemalloc sees only this process, which still holds one sub-block

@@ -1,10 +1,13 @@
 """Result tables: cell rendering, headers, JSON round trip, and the same
-bytes for any number of usable CPUs (the fork contract is test_fork's)."""
+bytes for any number of usable CPUs or a worker that fails (the fork
+contract as a whole is test_fork's)."""
 
 import contextlib
+import errno
 import json
 import math
 import os
+import pickle
 import random
 import struct
 
@@ -135,6 +138,68 @@ def test_all_float_csv_matches_the_per_cell_rendering(width):
                     # the array template and the per-cell path give the same bytes
                     for t in (arrays, tuples, mixed):
                         assert render(t, fmt) == text, (fmt, n, cpus)
+
+
+def _two_column_tables(n: int) -> tuple[ResultTable, ResultTable]:
+    """An all-float table of ``n`` rows, and the same cells as a mixed table."""
+    rng = np.random.default_rng(n)
+    arrays = ResultTable(("z", "eps"), (np.linspace(0.0, 3.2, n), rng.random(n)))
+    return arrays, ResultTable(arrays.columns, (arrays.cells[0], tuple(arrays.cells[1].tolist())))
+
+
+@pytest.mark.parametrize(
+    "cpus, rows, workers",
+    [
+        (8, 1, 1),
+        (8, _PIECE, 1),  # one piece: nothing to share
+        (8, _PIECE + 1, 2),
+        (8, 2 * _PIECE + 1, 3),
+        (1, 2 * _PIECE + 1, 1),
+        (2, 4 * _PIECE + 1, 2),
+    ],
+)
+def test_one_worker_per_usable_cpu_and_piece(cpus, rows, workers, forks):
+    arrays, mixed = _two_column_tables(rows)
+    with _usable_cpus(1):
+        want = [(t, fmt, render(t, fmt)) for t in (arrays, mixed) for fmt in ("csv", "json")]
+    assert not forks
+    with _usable_cpus(cpus):
+        for t, fmt, text in want:
+            assert render(t, fmt) == text, fmt
+    assert len(forks) == 4 * (workers - 1)
+
+
+@pytest.mark.parametrize("failure", ["exit at its first piece", "exit at its second piece", "no fork"])
+def test_the_bytes_do_not_depend_on_a_worker(failure, forks, monkeypatch):
+    # five pieces; of two workers, the forked one formats pieces 1 and 3
+    arrays, mixed = _two_column_tables(4 * _PIECE + 1)
+    with _usable_cpus(1):
+        want = [(t, fmt, render(t, fmt)) for t in (arrays, mixed) for fmt in ("csv", "json")]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if failure == "no fork":
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        # a worker pickles each piece before it sends it: it dies at the
+        # pickle of its first piece, or of its second after sending the first
+        parent, dumps = os.getpid(), pickle.dumps
+        dies_at = 1 if failure == "exit at its first piece" else 2
+        pickled = []
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                pickled.append(None)
+                if len(pickled) == dies_at:
+                    os._exit(1)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", dying)
+    for t, fmt, text in want:
+        assert render(t, fmt) == text, (fmt, failure)
+    assert len(forks) == (0 if failure == "no fork" else 4)
 
 
 @pytest.mark.parametrize(
