@@ -9,8 +9,7 @@ ordered product of per-segment rotated retarders,
 
 with theta_k the spin angle at the segment's left endpoint. The left-endpoint
 rule makes the product error fall off as 1/N, the first-order behavior the
-convergence contract asserts; evaluating theta at the segment midpoint is
-available as an option and converges at second order instead.
+convergence contract asserts.
 
 Products are evaluated as pairwise trees over fixed-size chunks. Each
 chunk's tree is built from power-of-two sub-blocks aligned to the chunk
@@ -56,8 +55,6 @@ _SUB = 1 << 14
 
 ProfileKind = Literal["linear", "cosine", "constant"]
 PROFILE_KINDS: tuple[str, ...] = get_args(ProfileKind)
-AngleRule = Literal["left", "midpoint"]
-ANGLE_RULES: tuple[str, ...] = get_args(AngleRule)
 MetricKind = Literal["principal", "axis_ratio"]
 METRIC_KINDS: tuple[str, ...] = get_args(MetricKind)
 
@@ -152,23 +149,16 @@ def grid_for(spec: SpunMediumSpec, n_segments: int) -> PropagationGrid:
 
 
 def _segment_pairs(
-    spec: SpunMediumSpec,
-    n: int,
-    lo: int,
-    hi: int,
-    angle_rule: AngleRule,
+    spec: SpunMediumSpec, n: int, lo: int, hi: int
 ) -> tuple[npt.NDArray[np.complex128], npt.NDArray[np.complex128]]:
     """SU(2) pairs (alpha, beta) of segments lo..hi-1.
 
     Segment k's matrix is [[alpha, beta], [beta, conj(alpha)]]; beta is
     purely imaginary, so the upper-right entry equals -conj(beta).
     """
-    if angle_rule not in ANGLE_RULES:
-        raise ValueError(f"unknown angle rule {angle_rule!r}")
     dz = spec.total_length_m / n
-    offset = 0.5 if angle_rule == "midpoint" else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = spec.profile.spin_angle((np.arange(lo, hi, dtype=np.float64) + offset) * dz)
+        theta = spec.profile.spin_angle(np.arange(lo, hi, dtype=np.float64) * dz)
     # a finite spin rate can still overflow theta over the length
     if not np.isfinite(theta).all():
         raise NumericDomainError("spin angle is not finite")
@@ -182,14 +172,8 @@ def _segment_pairs(
     return ep * c * c + em * s * s, (ep - em) * c * s
 
 
-def _segment_block(
-    spec: SpunMediumSpec,
-    n: int,
-    lo: int,
-    hi: int,
-    angle_rule: AngleRule,
-) -> npt.NDArray[np.complex128]:
-    alpha, beta = _segment_pairs(spec, n, lo, hi, angle_rule)
+def _segment_block(spec: SpunMediumSpec, n: int, lo: int, hi: int) -> npt.NDArray[np.complex128]:
+    alpha, beta = _segment_pairs(spec, n, lo, hi)
     m = np.empty((hi - lo, 2, 2), dtype=np.complex128)
     m[:, 0, 0] = alpha
     m[:, 0, 1] = beta
@@ -217,16 +201,12 @@ def _chunks(spec: SpunMediumSpec, grid: PropagationGrid) -> Iterator[tuple[int, 
     return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
-def total_matrix(
-    spec: SpunMediumSpec,
-    grid: PropagationGrid,
-    angle_rule: AngleRule = "left",
-) -> JonesMatrix:
+def total_matrix(spec: SpunMediumSpec, grid: PropagationGrid) -> JonesMatrix:
     """Ordered product of all segment matrices over the grid."""
     n = grid.n_segments
 
     def part(a: int) -> JonesMatrix:
-        return _ordered_product(_segment_block(spec, n, a, min(a + _SUB, n), angle_rule))
+        return _ordered_product(_segment_block(spec, n, a, min(a + _SUB, n)))
 
     out = np.eye(2, dtype=np.complex128)
     for lo, hi in _chunks(spec, grid):
@@ -299,7 +279,6 @@ def propagate_trajectory(
     grid: PropagationGrid,
     e_in: JonesVector | None = None,
     metric_kind: MetricKind = "principal",
-    angle_rule: AngleRule = "left",
 ) -> EllipticityTrajectory:
     """State scan over the grid, recording ellipticity at every position.
 
@@ -309,7 +288,7 @@ def propagate_trajectory(
     The returned record is built before the scan, which fills its epsilon
     in place, so its z check is the only one: a segment length so small
     that the z samples repeat raises NumericDomainError before the scan.
-    An unknown metric kind or angle rule raises ValueError.
+    An unknown metric kind raises ValueError.
     """
     if metric_kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
@@ -332,7 +311,7 @@ def propagate_trajectory(
         take = hi - lo
         width = min(_BLOCK, take)
         blocks = -(-take // width)
-        alpha, beta = _segment_pairs(spec, n, lo, hi, angle_rule)
+        alpha, beta = _segment_pairs(spec, n, lo, hi)
         alpha = _by_block(alpha, width, blocks, 1.0)
         beta = _by_block(beta, width, blocks, 0.0)
         # each block total is [[p, -conj(q)], [q, conj(p)]] with (p, q) the

@@ -136,14 +136,12 @@ def segment_matrix(delta_rad_per_m: float, theta_rad: float, dz_m: float):
     )
 
 
-def uniform_spin_product(
-    delta_rad_per_m: float, xi_rad_per_m: float, length_m: float, n: int, offset: float
-):
+def uniform_spin_product(delta_rad_per_m: float, xi_rad_per_m: float, length_m: float, n: int):
     """J_N ... J_1 of n segments of a medium spun at the constant rate xi, in
-    long double: with theta_k = xi (k - 1 + offset) dz (offset 0 for the left
-    rule, 1/2 for the midpoint rule), R(-theta_{k+1}) R(theta_k) = R(-xi dz),
-    so the product is R(theta_N) (D R(-xi dz))^(N-1) D R(-theta_1), and the
-    power is taken by repeated squaring."""
+    long double: with theta_k = xi (k - 1) dz at each segment's left end,
+    R(-theta_{k+1}) R(theta_k) = R(-xi dz) and theta_1 = 0, so the product
+    is R(theta_N) (D R(-xi dz))^(N-1) D, and the power is taken by repeated
+    squaring."""
     ld = np.longdouble
     dz = ld(length_m) / n
     half = ld(delta_rad_per_m) * dz / 2
@@ -159,9 +157,7 @@ def uniform_spin_product(
         if k & 1:
             power = base @ power
         base, k = base @ base, k >> 1
-    theta_1 = ld(xi_rad_per_m) * ld(offset) * dz
-    theta_n = ld(xi_rad_per_m) * (n - 1 + ld(offset)) * dz
-    return rot(theta_n) @ power @ d @ rot(-theta_1)
+    return rot(ld(xi_rad_per_m) * (n - 1) * dz) @ power @ d
 
 
 def plate_intensity(w, f_rad):

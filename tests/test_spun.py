@@ -256,9 +256,8 @@ _SUB = fs.spun._SUB
 _CHUNK = fs.spun._CHUNK
 
 
-@pytest.mark.parametrize("angle_rule", ["left", "midpoint"])
 @pytest.mark.parametrize("n", [1, _SUB - 1, _SUB, _SUB + 1, 3 * _SUB + 77, _CHUNK + 1])
-def test_sub_block_trees_keep_the_whole_chunk_bits(n, angle_rule, forks, monkeypatch):
+def test_sub_block_trees_keep_the_whole_chunk_bits(n, forks, monkeypatch):
     """total_matrix against one pairwise tree over each whole chunk: the
     sub-block trees must regroup nothing, so the bits are equal, whether
     1, 2 or 3 usable CPUs share the sub-blocks."""
@@ -267,12 +266,12 @@ def test_sub_block_trees_keep_the_whole_chunk_bits(n, angle_rule, forks, monkeyp
     want = np.eye(2, dtype=np.complex128)
     sub_blocks = []
     for lo, hi in spun._chunks(DEMO, grid):
-        want = spun._ordered_product(spun._segment_block(DEMO, n, lo, hi, angle_rule)) @ want
+        want = spun._ordered_product(spun._segment_block(DEMO, n, lo, hi)) @ want
         sub_blocks.append(-(-(hi - lo) // _SUB))
     for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         del forks[:]
-        assert np.array_equal(total_matrix(DEMO, grid, angle_rule=angle_rule), want), cpus
+        assert np.array_equal(total_matrix(DEMO, grid), want), cpus
         # each chunk forks a worker per usable CPU and sub-block but the first
         assert len(forks) == sum(min(cpus, b) - 1 for b in sub_blocks), cpus
 
@@ -316,10 +315,7 @@ def test_the_bits_do_not_depend_on_a_worker(failure, forks, monkeypatch):
 LATE_OVERFLOW = fs.SpunMediumSpec(10.0, 1.0, fs.SpinProfile("constant", 2.7e307))
 
 
-@pytest.mark.parametrize("angle_rule", ["left", "midpoint"])
-def test_an_overflow_in_a_workers_sub_block_raises_as_in_one_process(
-    angle_rule, forks, monkeypatch
-):
+def test_an_overflow_in_a_workers_sub_block_raises_as_in_one_process(forks, monkeypatch):
     n = 2 * _SUB
     with np.errstate(over="ignore"):
         theta = LATE_OVERFLOW.profile.spin_angle(np.arange(n) * (LATE_OVERFLOW.total_length_m / n))
@@ -327,7 +323,7 @@ def test_an_overflow_in_a_workers_sub_block_raises_as_in_one_process(
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         with pytest.raises(NumericDomainError, match="^spin angle is not finite$"):
-            total_matrix(LATE_OVERFLOW, grid_for(LATE_OVERFLOW, n), angle_rule=angle_rule)
+            total_matrix(LATE_OVERFLOW, grid_for(LATE_OVERFLOW, n))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert len(forks) == 1
@@ -366,27 +362,6 @@ def test_left_endpoint_rule_refines_at_first_order(demo_reference):
     }
     assert 1.7 < devs[32768] / devs[65536] < 2.3
     assert 1.7 < devs[65536] / devs[131072] < 2.3
-
-
-def test_midpoint_rule_refines_at_second_order():
-    """Doubling N divides the midpoint-rule error by about four.
-
-    The left-endpoint rule stays the default anyway: the refinement
-    contract elsewhere pins first-order halving.
-    """
-    ref = total_matrix(DEMO, grid_for(DEMO, 1 << 17), angle_rule="midpoint")
-    devs = {
-        n: float(
-            np.max(np.abs(total_matrix(DEMO, grid_for(DEMO, n), angle_rule="midpoint") - ref))
-        )
-        for n in (1024, 2048, 4096)
-    }
-    assert 3.4 < devs[1024] / devs[2048] < 4.6
-    assert 3.4 < devs[2048] / devs[4096] < 4.6
-    assert np.array_equal(
-        total_matrix(DEMO, grid_for(DEMO, 512)),
-        total_matrix(DEMO, grid_for(DEMO, 512), angle_rule="left"),
-    )
 
 
 def _uniform_spun_closed_form(delta: float, xi: float, length: float) -> np.ndarray:
@@ -435,13 +410,12 @@ def test_uniform_spin_converges_to_the_closed_form():
         assert 1.9 <= ratio <= 2.1, (delta, xi, length)
 
 
-# four times the largest gap each N showed over both media and both rules,
-# or more (numpy 2.4.6, x86-64 long double)
+# four times the largest gap each N showed over both media, or more
+# (numpy 2.4.6, x86-64 long double)
 _UNIFORM_SPIN_BOUNDS = {1: 3e-14, 2: 1e-13, 3: 1e-13, 1000: 2e-13, 70_000: 1e-11, 1 << 20: 5e-11}
 
 
-@pytest.mark.parametrize("angle_rule, offset", [("left", 0.0), ("midpoint", 0.5)])
-def test_uniform_spin_products_match_the_exact_power(angle_rule, offset):
+def test_uniform_spin_products_match_the_exact_power():
     """total_matrix on constant spin against the exact product of the same
     segments (_oracles.uniform_spin_product), from one segment to two whole
     chunks: what is left is float64 rounding."""
@@ -449,8 +423,8 @@ def test_uniform_spin_products_match_the_exact_power(angle_rule, offset):
     for med in (fs.default_spun_front_end().medium, counter_spun):
         xi = med.profile.xi_max_rad_per_m
         for n, bound in _UNIFORM_SPIN_BOUNDS.items():
-            want = _oracles.uniform_spin_product(med.delta_rad_per_m, xi, med.total_length_m, n, offset)
-            got = total_matrix(med, grid_for(med, n), angle_rule=angle_rule)
+            want = _oracles.uniform_spin_product(med.delta_rad_per_m, xi, med.total_length_m, n)
+            got = total_matrix(med, grid_for(med, n))
             gap = float(np.max(np.abs(got - want)))
             assert gap < bound, (xi, n, gap)
 
@@ -496,10 +470,10 @@ def _magnus4_converter(med, theta, n: int) -> np.ndarray:
 
 def test_ramped_medium_converges_to_the_magnus_oracle():
     """On the default high_order_qwp (cosine ramp, xi/delta = 10), against a
-    4th-order continuum oracle: the oracle refines at 4th order, the
-    midpoint rule at 2nd, and the default left rule is still short of its
-    first-order halving at 200k to 800k segments. The sweep error at the
-    default grid reads about 8% below the one behind the oracle's converter.
+    4th-order continuum oracle: the oracle refines at 4th order, and the
+    left-endpoint rule is still short of its first-order halving at 200k to
+    800k segments. The sweep error at the default grid reads about 8% below
+    the one behind the oracle's converter.
     """
     fe = fs.default_high_order_front_end()
     med = fe.medium
@@ -520,19 +494,11 @@ def test_ramped_medium_converges_to_the_magnus_oracle():
     assert 9e-6 <= devs[0] <= 1.1e-5
     assert all(15.0 <= a / b <= 18.0 for a, b in zip(devs, devs[1:])), devs
 
-    counts = (200_000, 400_000, 800_000)
-    # the left rule's ratios climb towards 2 from below
-    for rule, first, bands in (
-        ("left", 3.53e-4, ((1.80, 1.89), (1.89, 1.97))),
-        ("midpoint", 6.19e-5, ((3.9, 4.1), (3.9, 4.1))),
-    ):
-        devs = [
-            float(np.max(np.abs(total_matrix(med, grid_for(med, n), angle_rule=rule) - want)))
-            for n in counts
-        ]
-        assert 0.97 * first <= devs[0] <= 1.03 * first, (rule, devs)
-        ratios = [a / b for a, b in zip(devs, devs[1:])]
-        assert all(lo <= r <= hi for r, (lo, hi) in zip(ratios, bands)), (rule, ratios)
+    devs = [_deviation(med, n, want) for n in (200_000, 400_000, 800_000)]
+    assert 0.97 * 3.53e-4 <= devs[0] <= 1.03 * 3.53e-4, devs
+    # the ratios climb towards 2 from below
+    ratios = [a / b for a, b in zip(devs, devs[1:])]
+    assert 1.80 <= ratios[0] <= 1.89 and 1.89 <= ratios[1] <= 1.97, ratios
 
     spec = fs.default_sweep_spec(fe)
     default = fs.run_current_sweep(spec).max_abs_err_pct
@@ -616,15 +582,8 @@ def test_trajectory_validation():
         )
 
 
-@pytest.mark.parametrize("run", [total_matrix, propagate_trajectory])
-def test_unknown_angle_rule_is_rejected(run):
-    # a misspelled rule must not run the left rule
-    with pytest.raises(ValueError, match="unknown angle rule 'Midpoint'"):
-        run(DEMO, grid_for(DEMO, 8), angle_rule="Midpoint")
-
-
 def test_unknown_metric_kind_is_rejected():
-    # and a misspelled metric must not compute the principal one
+    # a misspelled metric must not compute the principal one
     with pytest.raises(ValueError, match="unknown metric kind 'bogus'"):
         propagate_trajectory(DEMO, grid_for(DEMO, 8), metric_kind="bogus")
 

@@ -14,10 +14,10 @@ on one machine:
 The cases:
 
 * total_matrix and the propagate_trajectory ellipticities of the default,
-  high_order_qwp and spun_fiber media, under both angle rules, at segment
-  counts on and around spun's block, sub-block and chunk sizes; past one
-  sub-block, total_matrix shares its sub-block products among forked
-  workers, and ``taskset -c 0`` runs them all in one process;
+  high_order_qwp and spun_fiber media, at segment counts on and around
+  spun's block, sub-block and chunk sizes; past one sub-block,
+  total_matrix shares its sub-block products among forked workers, and
+  ``taskset -c 0`` runs them all in one process;
 * run_current_sweep columns behind seeded plates, over currents that
   include fringe nulls, and behind both distributed front ends;
 * seeded 8 x 8, 5 x 4, 1 x 1 and 1 x 7 imperfection scans: their cells,
@@ -87,12 +87,12 @@ def digest(*values) -> str:
     return h.hexdigest()
 
 
-def _total(fs, medium, grid, rule):
-    return (fs.total_matrix(medium, grid, angle_rule=rule),)
+def _total(fs, medium, grid):
+    return (fs.total_matrix(medium, grid),)
 
 
-def _epsilon(fs, medium, grid, rule):
-    return (fs.propagate_trajectory(medium, grid, angle_rule=rule).epsilon,)
+def _epsilon(fs, medium, grid):
+    return (fs.propagate_trajectory(medium, grid).epsilon,)
 
 
 def spun_cases(fs, spun):
@@ -103,11 +103,10 @@ def spun_cases(fs, spun):
     }
     counts = sorted({1, 2, 3, 1000} | {k + d for k in (spun._BLOCK, spun._SUB, spun._CHUNK) for d in (-1, 0, 1)})
     for name, medium in media.items():
-        for rule in ("left", "midpoint"):
-            for n in counts:
-                grid = fs.grid_for(medium, n)
-                yield f"total_matrix/{name}/{rule}/{n}", functools.partial(_total, fs, medium, grid, rule)
-                yield f"trajectory/{name}/{rule}/{n}", functools.partial(_epsilon, fs, medium, grid, rule)
+        for n in counts:
+            grid = fs.grid_for(medium, n)
+            yield f"total_matrix/{name}/{n}", functools.partial(_total, fs, medium, grid)
+            yield f"trajectory/{name}/{n}", functools.partial(_epsilon, fs, medium, grid)
 
 
 def _sweep_columns(fs, spec):

@@ -18,25 +18,28 @@ Recomputes and prints, in the layout of tests/_frozen.py:
 On stderr it prints the relative gap of each value to the frozen one.
 
 The reference is independent of the library under test: it does not import
-focsim.spun, and it reads only the constants registry and tests/_frozen.py,
-by file path. The spin angles theta_k are evaluated in float64 from the
-closed-form linear, cosine and constant profiles, so the discretization is
-the library's. Everything after that is in extended precision: each
-segment's SU(2) pair alpha = cos h + i sin h cos 2 theta,
-beta = i sin h sin 2 theta; for the metrics, a straight-line state
-recurrence over all segments, the ellipticity at every state and the
-window metrics; for the products, the first column (a, b) of
-[[a, -conj(b)], [b, conj(a)]], each block of segments composed as a
-pairwise tree and the blocks in order (the grouping moves nothing at
-float64 precision). A converter's sweep error is -100 Im(a^2 + b^2)^2 at
-every current, the closed form of a unit-norm medium returning through
+focsim, and it reads only the constants registry, tests/_frozen.py and
+tests/_oracles.py, by file path. Except for the spun_fiber media below,
+the spin angles theta_k are evaluated in float64 from the closed-form
+profiles, so the discretization is the library's. Everything after that
+is in extended precision: each segment's SU(2) pair
+alpha = cos h + i sin h cos 2 theta, beta = i sin h sin 2 theta; for the
+metrics, a straight-line state recurrence over all segments, the
+ellipticity at every state and the window metrics; for the products, the
+first column (a, b) of [[a, -conj(b)], [b, conj(a)]], each block of
+segments composed as a pairwise tree and the blocks in order (the grouping
+moves nothing at float64 precision). The uniformly spun spun_fiber media
+take their product from the exact power of tests/_oracles.py
+(uniform_spin_product), in extended precision throughout, in O(log N)
+steps instead of O(N). A converter's sweep error is -100 Im(a^2 + b^2)^2
+at every current, the closed form of a unit-norm medium returning through
 its transpose (tests/_oracles.py, medium_intensity).
 
 The relative-threshold crossing conv_rel is printed on the full grid; the
 frozen value was located on a strided subsample and may exceed it by up to
 one stride (tests/test_spun.py allows 3.9e-5 m).
 
-Run from the repository root (about 25 s and 210 MB on a 2-vCPU Xeon):
+Run from the repository root (about 10 s and 210 MB on a 2-vCPU Xeon):
 
     python tools/frozen_reference.py
 """
@@ -167,18 +170,25 @@ def products(c):
 
     delta = 2.0 * math.pi / (float(c["wavelength_m"]) / float(c["birefringence_delta_n"]))
     n = int(c["front_end_segments"])
-    devices = {
-        "C8_HO_ERRS_PCT": (float(c["ho_qwp_total_length_m"]), "cosine",
-                           float(c["ho_qwp_xi_over_delta"]), float(c["ho_qwp_transition_m"])),
-        "C8_SPUN_ERRS_PCT": (float(c["spun_fiber_total_length_m"]), "constant",
-                             float(c["spun_fiber_xi_over_delta"]), 0.0),
+    ho_length, ho_xi = float(c["ho_qwp_total_length_m"]), float(c["ho_qwp_xi_over_delta"]) * delta
+    ho_l2 = float(c["ho_qwp_transition_m"])
+    spun_length = float(c["spun_fiber_total_length_m"])
+    spun_xi = float(c["spun_fiber_xi_over_delta"]) * delta
+    oracles = load("frozen_reference_oracles", ROOT / "tests" / "_oracles.py")
+
+    def sweep_error(a, b):
+        return float(100 * (a * a + b * b).imag ** 2)
+
+    errors = {
+        "C8_HO_ERRS_PCT": [
+            sweep_error(*first_column(ho_length + step, delta, "cosine", ho_xi, 0.0, ho_l2, n))
+            for step in LENGTH_STEPS_M
+        ],
+        "C8_SPUN_ERRS_PCT": [
+            sweep_error(*oracles.uniform_spin_product(delta, spun_xi, spun_length + step, n)[:, 0])
+            for step in LENGTH_STEPS_M
+        ],
     }
-    errors = {}
-    for name, (length, kind, ratio, l2) in devices.items():
-        errors[name] = []
-        for step in LENGTH_STEPS_M:
-            a, b = first_column(length + step, delta, kind, ratio * delta, 0.0, l2, n)
-            errors[name].append(float(100 * (a * a + b * b).imag ** 2))
     return golden, ladder, errors
 
 
