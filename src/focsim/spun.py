@@ -21,6 +21,15 @@ The sub-block products of a chunk are computed through
 ``_fork.ordered_map``. A sub-block's product depends only on its segments,
 so the bits are the same for any worker count.
 
+Each tree level runs as stacked float64 matmuls of at most _SLAB pairs,
+laid out (``_operands``) so that OpenBLAS's dgemm small kernel sums them in
+the FMA order of its zgemm kernel: the bits are those of one complex matmul
+per pair. That holds by the two kernels, not by IEEE arithmetic alone. On an
+AVX-512 host, 200,000 random products and every medium tried, zero-spin
+ones included, matched bit for bit; the one difference seen is an exact
+zero's sign: dgemm never yields -0, where zgemm gave -0 in 1.3-2% of the
+entries of random stacks with 35-40% of the components +-0.
+
 Trajectory scans carry only the Jones state: each segment is the SU(2)
 pair (alpha, beta) of its matrix [[alpha, -conj(beta)], [beta,
 conj(alpha)]], and a blocked scan over fixed-size blocks computes each
@@ -52,6 +61,8 @@ _BLOCK = 1 << 9
 # subtrees of the whole-chunk tree and total_matrix changes in the last bits;
 # so only the grid's end cuts a sub-block short
 _SUB = 1 << 14
+# pairs per matmul of a product tree, so that its operands stay in cache
+_SLAB = 1 << 11
 
 ProfileKind = Literal["linear", "cosine", "constant"]
 PROFILE_KINDS: tuple[str, ...] = get_args(ProfileKind)
@@ -182,13 +193,48 @@ def _segment_block(spec: SpunMediumSpec, n: int, lo: int, hi: int) -> npt.NDArra
     return m
 
 
+def _operands(
+    a: npt.NDArray[np.complex128], b: npt.NDArray[np.complex128]
+) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+    """float64 operands whose stacked matmul, viewed as complex128, is a[j] @
+    b[j] for stacks of 2x2 complex matrices, rounded as OpenBLAS's zgemm
+    rounds it.
+
+    zgemm forms each entry as one FMA chain over four real products, real
+    part (-a0i b0i, a0r b0r, -a1i b1i, a1r b1r), imaginary part (a0i b0r,
+    a0r b0i, a1i b1r, a1r b1i); the dgemm kernel sums K in order the same
+    way. So row i of the (k, 2, 4) left operand holds the floats of
+    (i a)_i, and the rows of the (k, 4, 4) right operand the floats of
+    (-i b)_0, b_0, (-i b)_1, b_1.
+    """
+    af, bf = a.view(np.float64), b.view(np.float64)
+    left = np.empty(af.shape)
+    left[..., 0::2] = -af[..., 1::2]
+    left[..., 1::2] = af[..., 0::2]
+    right = np.empty((len(b), 4, 4))
+    right[:, 1::2] = bf
+    right[:, 0::2, 0::2] = bf[..., 1::2]
+    right[:, 0::2, 1::2] = -bf[..., 0::2]
+    return left, right
+
+
 def _ordered_product(m: npt.NDArray[np.complex128]) -> JonesMatrix:
-    # pairwise tree, preserving operator order: result = m[-1] ... m[1] m[0]
-    while len(m) > 1:
-        half = len(m) // 2
-        paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
-        m = np.concatenate([paired, m[-1:]]) if len(m) % 2 else paired
-    return m[0]
+    """m[-1] ... m[1] m[0], as a pairwise tree that keeps operator order.
+
+    Each level's products overwrite the front of m, which is used up, at
+    most _SLAB pairs per matmul: slab [lo, hi) reads items 2 lo to 2 hi
+    before its products land at lo to hi, and later slabs read from 2 hi on.
+    """
+    n, f = len(m), m.view(np.float64)
+    while n > 1:
+        half = n // 2
+        for lo in range(0, half, _SLAB):
+            hi = min(lo + _SLAB, half)
+            np.matmul(*_operands(m[2 * lo + 1 : 2 * hi : 2], m[2 * lo : 2 * hi : 2]), out=f[lo:hi])
+        if n % 2:
+            m[half] = m[n - 1]
+        n = half + n % 2
+    return m[0].copy()
 
 
 def _chunks(spec: SpunMediumSpec, grid: PropagationGrid) -> Iterator[tuple[int, int]]:
@@ -382,7 +428,8 @@ def estimate_segments(total_length_m: float, tolerance_eps: float) -> int:
     """Segment count for a target product error, from N >= C L^2 / eps.
 
     C was calibrated once against the measured first-order error constant of
-    the default medium; the floor keeps degenerate inputs usable.
+    the default medium; the floor keeps degenerate inputs usable. A count
+    past 2^63 - 1 raises ValueError.
     """
     if not 0.0 < total_length_m < math.inf:
         raise ValueError("length must be positive and finite")
@@ -390,6 +437,10 @@ def estimate_segments(total_length_m: float, tolerance_eps: float) -> int:
         raise ValueError("tolerance must lie in (0, 1)")
     c = float(constant("segment_calibration_c"))
     try:
-        return max(64, math.ceil(c * total_length_m**2 / tolerance_eps))
+        n = max(64, math.ceil(c * total_length_m**2 / tolerance_eps))
     except OverflowError:  # from the square, or from the ceiling of inf
         raise ValueError("segment estimate is not a finite float") from None
+    # the bound the config puts on every count: no run can take more
+    if n > 2**63 - 1:
+        raise ValueError("segment estimate exceeds 2^63 - 1")
+    return n

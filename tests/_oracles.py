@@ -3,8 +3,9 @@ library under test: Stokes and ellipticity algebra, unitarity and
 projective equality, the paper's printed tan-form plate, the nominal
 chain's closed form, the detected intensity behind a plate and behind a
 medium, the spin rate and fluctuation driver of each profile kind, one
-segment's matrix from scalar math calls, the exact segment product of a
-uniformly spun medium, and a table's content read back from its JSON text.
+segment's matrix from scalar math calls, the complex pairwise tree of a
+chunk's segments, the exact segment product of a uniformly spun medium, and
+a table's content read back from its JSON text.
 
 The two intensity forms follow the chain's two return-pass conventions: a
 plate returns through its complex conjugate, a medium through its
@@ -134,6 +135,20 @@ def segment_matrix(delta_rad_per_m: float, theta_rad: float, dz_m: float):
         ],
         dtype=np.complex128,
     )
+
+
+def complex_tree_product(alpha, beta):
+    """m[-1] ... m[1] m[0] of the segment matrices m[k] = [[alpha[k],
+    beta[k]], [beta[k], conj(alpha[k])]], as a pairwise tree of complex
+    np.matmul calls: one zgemm per 2 x 2 item, the grouping and rounding
+    focsim's chunk products must keep bit for bit."""
+    m = np.empty((len(alpha), 2, 2), dtype=np.complex128)
+    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = alpha, beta, beta, alpha.conj()
+    while len(m) > 1:
+        half = len(m) // 2
+        paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
+        m = np.concatenate([paired, m[-1:]]) if len(m) % 2 else paired
+    return m[0]
 
 
 def uniform_spin_product(delta_rad_per_m: float, xi_rad_per_m: float, length_m: float, n: int):

@@ -266,7 +266,7 @@ def test_sub_block_trees_keep_the_whole_chunk_bits(n, forks, monkeypatch):
     want = np.eye(2, dtype=np.complex128)
     sub_blocks = []
     for lo, hi in spun._chunks(DEMO, grid):
-        want = spun._ordered_product(spun._segment_block(DEMO, n, lo, hi)) @ want
+        want = _oracles.complex_tree_product(*spun._segment_pairs(DEMO, n, lo, hi)) @ want
         sub_blocks.append(-(-(hi - lo) // _SUB))
     for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
@@ -275,6 +275,31 @@ def test_sub_block_trees_keep_the_whole_chunk_bits(n, forks, monkeypatch):
         # each chunk forks a worker per usable CPU and sub-block but the first
         assert len(forks) == sum(min(cpus, b) - 1 for b in sub_blocks), cpus
 
+
+ZERO_SPIN = fs.SpunMediumSpec(0.02, (0.5 * math.pi) / 0.02, fs.SpinProfile("constant", 0.0))
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_zero_spin_products_keep_the_complex_tree_bits(n):
+    """Off-diagonal entries that are exact zeros through every product,
+    sign bits included, against the complex tree."""
+    alpha, beta = fs.spun._segment_pairs(ZERO_SPIN, n, 0, n)
+    assert not beta.view(np.float64).any()
+    want = _oracles.complex_tree_product(alpha, beta) @ np.eye(2, dtype=np.complex128)
+    got = total_matrix(ZERO_SPIN, grid_for(ZERO_SPIN, n))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pair_products_round_as_complex_matmul():
+    # finite, non-zero entries over a wide range of scales, taken as the
+    # strided halves of one stack, as the tree takes them
+    rng = np.random.default_rng(28)
+    f = rng.normal(size=(2 * 50_000, 2, 4)) * 2.0 ** rng.integers(-60, 61, (2 * 50_000, 2, 4))
+    assert np.isfinite(f).all() and f.all()
+    m = f.view(np.complex128)
+    a, b = m[1::2], m[0::2]
+    got = np.matmul(*fs.spun._operands(a, b)).view(np.complex128)
+    assert got.tobytes() == np.matmul(a, b).tobytes()
 
 
 @pytest.mark.parametrize("failure", ["exit at once", "no fork", "no pipe"])
@@ -679,6 +704,11 @@ def test_estimate_segments_formula_and_floor():
     for length, eps in ((1e200, 1e-3), (1.0, 1e-320)):
         with pytest.raises(ValueError, match="^segment estimate is not a finite float$"):
             fs.estimate_segments(length, eps)
+    # once a 20-, 22- or 306-digit count, past the 2^63 - 1 of every config count
+    assert fs.estimate_segments(3e6, 1e-3) == math.ceil(c * 3e6**2 / 1e-3) < 2**63 - 1
+    for length in (1e7, 1e8, 1e150):
+        with pytest.raises(ValueError, match=r"^segment estimate exceeds 2\^63 - 1$"):
+            fs.estimate_segments(length, 1e-3)
     with pytest.raises(ValueError):
         fs.estimate_segments(0.3, 0.0)
     with pytest.raises(ValueError):

@@ -17,7 +17,9 @@ The cases:
   high_order_qwp and spun_fiber media, at segment counts on and around
   spun's block, sub-block and chunk sizes; past one sub-block,
   total_matrix shares its sub-block products among forked workers, and
-  ``taskset -c 0`` runs them all in one process;
+  ``taskset -c 0`` runs them all in one process; and total_matrix of a
+  zero-spin quarter-wave medium at 64 and 4096 segments, whose exact zeros
+  keep their sign bits in the digest;
 * run_current_sweep columns behind seeded plates, over currents that
   include fringe nulls, and behind both distributed front ends;
 * seeded 8 x 8, 5 x 4, 1 x 1 and 1 x 7 imperfection scans: their cells,
@@ -107,6 +109,11 @@ def spun_cases(fs, spun):
             grid = fs.grid_for(medium, n)
             yield f"total_matrix/{name}/{n}", functools.partial(_total, fs, medium, grid)
             yield f"trajectory/{name}/{n}", functools.partial(_epsilon, fs, medium, grid)
+    # a zero-spin quarter-wave medium, whose off-diagonal entries stay exact
+    # zeros through every product, so their sign bits are digested too
+    zero_spin = fs.SpunMediumSpec(0.02, math.pi / 0.04, fs.SpinProfile("constant", 0.0))
+    for n in (64, 4096):
+        yield f"total_matrix/zero_spin/{n}", functools.partial(_total, fs, zero_spin, fs.grid_for(zero_spin, n))
 
 
 def _sweep_columns(fs, spec):
