@@ -1,9 +1,9 @@
 """Exception taxonomy.
 
 Numeric-domain failures (a fringe null at a simulated current, an
-overflowing or underflowing model value, an empty metric window) are kept
-distinct from configuration mistakes so the CLI can map them to different
-exit codes: ConfigError exits 2, NumericDomainError 3.
+overflowing or underflowing model value, a settled span of under two
+samples) are kept distinct from configuration mistakes so the CLI can map
+them to different exit codes: ConfigError exits 2, NumericDomainError 3.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ import numpy.typing as npt
 from ._fork import ordered_map
 from .constants import constant
 from .errors import NumericDomainError
-from .jones import JonesMatrix, JonesVector, jones_vector
+from .jones import JonesMatrix
 
 _CHUNK = 1 << 19
 _BLOCK = 1 << 9
@@ -124,10 +124,8 @@ class SpunMediumSpec:
     def __post_init__(self):
         if not 0.0 < self.total_length_m < math.inf:
             raise ValueError("total length must be positive and finite")
-        if self.profile.kind in ("linear", "cosine"):
-            settle = self.profile.lead_in_l1_m + self.profile.transition_l2_m
-            if self.total_length_m + 1e-12 < settle:
-                raise ValueError("medium shorter than lead-in plus transition")
+        if self.total_length_m + 1e-12 < self.settle_z_m:
+            raise ValueError("medium shorter than lead-in plus transition")
 
     @property
     def settle_z_m(self) -> float:
@@ -266,7 +264,7 @@ class EllipticityTrajectory:
 
     epsilon holds |minor/major| per sample; gap markers (NaN) appear only
     where the axis-ratio formula is undefined. settle_z_m carries the
-    post-transition boundary so metric windows can default correctly.
+    post-transition boundary, where stability_metrics starts its span.
     The z samples are checked here, once, as neighbouring pairs, so a
     repeated value (+inf included) or a NaN raises ValueError.
     """
@@ -323,14 +321,14 @@ def _sweep(alpha, beta, x, y, out_x=None, out_y=None):
 def propagate_trajectory(
     spec: SpunMediumSpec,
     grid: PropagationGrid,
-    e_in: JonesVector | None = None,
     metric_kind: MetricKind = "principal",
 ) -> EllipticityTrajectory:
     """State scan over the grid, recording ellipticity at every position.
 
-    The scan applies the same segment matrices as total_matrix in the same
-    order but groups the products differently, so its final state agrees
-    with total_matrix(spec, grid) @ e_in to rounding, not bit for bit.
+    The scan launches the x-polarized state (1, 0) and applies the same
+    segment matrices as total_matrix in the same order, but groups the
+    products differently, so its final state agrees with
+    total_matrix(spec, grid)[:, 0] to rounding, not bit for bit.
     The returned record is built before the scan, which fills its epsilon
     in place, so its z check is the only one: a segment length so small
     that the z samples repeat raises NumericDomainError before the scan.
@@ -347,12 +345,10 @@ def propagate_trajectory(
     except ValueError as exc:
         # dz > 0 is not enough: linspace over a few subnormals repeats values
         raise NumericDomainError("segment length underflows: z samples repeat") from exc
-    if e_in is None:
-        e_in = jones_vector(1.0, 0.0)
-    e = np.asarray(e_in, dtype=np.complex128)
     eps = traj.epsilon
-    eps[0] = _eps_from_states(e[:1], e[1:], metric_kind)[0]
-    x, y = complex(e[0]), complex(e[1])
+    # both metrics read 0 for (1, 0)
+    eps[0] = 0.0
+    x, y = 1 + 0j, 0j
     for lo, hi in _chunks(spec, grid):
         take = hi - lo
         width = min(_BLOCK, take)
@@ -386,26 +382,20 @@ class StabilityMetrics:
     mean_eps: float
 
 
-def stability_metrics(
-    traj: EllipticityTrajectory,
-    window: tuple[float, float] | None = None,
-) -> StabilityMetrics:
-    """Peak-to-peak, RMS and mean ellipticity over a z window.
-
-    The window defaults to the post-transition span, where the residual
-    ripple is the quantity of interest. Pass an explicit window to measure
-    the whole trajectory instead.
+def stability_metrics(traj: EllipticityTrajectory) -> StabilityMetrics:
+    """Peak-to-peak, RMS and mean ellipticity over the post-transition
+    span, from traj.settle_z_m to the last sample, where the residual ripple
+    is the quantity of interest. Gap samples are skipped; fewer than two
+    left raise NumericDomainError.
     """
-    if window is None:
-        window = (traj.settle_z_m, float(traj.z_m[-1]))
-    lo, hi = window
-    mask = (traj.z_m >= lo - 1e-12) & (traj.z_m <= hi + 1e-12)
+    mask = traj.z_m >= traj.settle_z_m - 1e-12
     z = traj.z_m[mask]
     e = traj.epsilon[mask]
     keep = ~np.isnan(e)
     z, e = z[keep], e[keep]
     if len(e) < 2:
-        raise NumericDomainError(f"window {window!r} holds fewer than two samples")
+        bounds = (traj.settle_z_m, float(traj.z_m[-1]))
+        raise NumericDomainError(f"window {bounds!r} holds fewer than two samples")
     span = float(z[-1] - z[0])
     mean = float(np.trapezoid(e, z)) / span
     rms = math.sqrt(max(float(np.trapezoid((e - mean) ** 2, z)) / span, 0.0))
@@ -416,9 +406,9 @@ def stability_metrics(
     )
 
 
-def conversion_length(traj: EllipticityTrajectory, threshold: float = 0.95) -> float | None:
-    """First z where the ellipticity reaches the threshold, None if never."""
-    hits = np.nonzero(traj.epsilon >= threshold)[0]
+def conversion_length(traj: EllipticityTrajectory) -> float | None:
+    """First z where the ellipticity reaches 0.95, None if never."""
+    hits = np.nonzero(traj.epsilon >= 0.95)[0]
     if len(hits) == 0:
         return None
     return float(traj.z_m[hits[0]])

@@ -234,13 +234,13 @@ def test_unspun_medium_is_a_plain_retarder(beat, length, n):
     assert np.max(np.abs(j - want)) <= 1e-10
 
 
-@given(med=spun_media(), n=st.integers(16, 512), v=field_states())
-def test_trajectory_endpoint_equals_one_shot_product(med, n, v):
+@given(med=spun_media(), n=st.integers(16, 512))
+def test_trajectory_endpoint_equals_one_shot_product(med, n):
     # the trajectory records the unsigned ripple amplitude, so the one-shot
     # product's signed ellipticity is compared through its magnitude
     grid = fs.grid_for(med, n)
-    traj = fs.propagate_trajectory(med, grid, e_in=v, metric_kind="principal")
-    want = abs(_oracles.ellipticity_principal(fs.total_matrix(med, grid) @ v))
+    traj = fs.propagate_trajectory(med, grid, metric_kind="principal")
+    want = abs(_oracles.ellipticity_principal(fs.total_matrix(med, grid)[:, 0]))
     assert traj.epsilon[-1] == pytest.approx(want, abs=1e-10)
 
 
