@@ -22,13 +22,15 @@ The sub-block products of a chunk are computed through
 so the bits are the same for any worker count.
 
 Each tree level runs as stacked float64 matmuls of at most _SLAB pairs,
-laid out (``_operands``) so that OpenBLAS's dgemm small kernel sums them in
-the FMA order of its zgemm kernel: the bits are those of one complex matmul
-per pair. That holds by the two kernels, not by IEEE arithmetic alone. On an
-AVX-512 host, 200,000 random products and every medium tried, zero-spin
-ones included, matched bit for bit; the one difference seen is an exact
-zero's sign: dgemm never yields -0, where zgemm gave -0 in 1.3-2% of the
-entries of random stacks with 35-40% of the components +-0.
+whose operands (``_pair_products``) make OpenBLAS's dgemm small kernel sum
+them in the FMA order of its zgemm kernel and come from one exact dgemm each
+by a matrix of 0 and +-1, for the finite entries that unitary segments keep.
+So the bits are those of one complex matmul per pair, by the two kernels, not
+by IEEE arithmetic alone. On an AVX-512 host, random stacks and every medium
+tried matched, save an exact zero's sign: zgemm gave -0 in 1.3-2% of entries
+with 35-40% of the components +-0, where dgemm never does, and subnormal
+entries whose products underflow can flip it against operands built by
+strided copies, which unit-scale segment entries never do.
 
 Trajectory scans carry only the Jones state: each segment is the SU(2)
 pair (alpha, beta) of its matrix [[alpha, -conj(beta)], [beta,
@@ -191,29 +193,27 @@ def _segment_block(spec: SpunMediumSpec, n: int, lo: int, hi: int) -> npt.NDArra
     return m
 
 
-def _operands(
-    a: npt.NDArray[np.complex128], b: npt.NDArray[np.complex128]
-) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
-    """float64 operands whose stacked matmul, viewed as complex128, is a[j] @
-    b[j] for stacks of 2x2 complex matrices, rounded as OpenBLAS's zgemm
-    rounds it.
+_LEFT = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=np.float64)
+_RIGHT = np.hstack((0.0 - _LEFT, np.eye(4)))  # not -_LEFT, whose zeros are -0
+
+
+def _pair_products(f: npt.NDArray[np.float64], out=None) -> npt.NDArray[np.float64]:
+    """The (k, 2, 4) floats of item 2j + 1 times item 2j of a (2k, 2, 4) float64
+    view of 2x2 complex matrices, rounded as OpenBLAS's zgemm rounds them.
 
     zgemm forms each entry as one FMA chain over four real products, real
     part (-a0i b0i, a0r b0r, -a1i b1i, a1r b1r), imaginary part (a0i b0r,
     a0r b0i, a1i b1r, a1r b1i); the dgemm kernel sums K in order the same
-    way. So row i of the (k, 2, 4) left operand holds the floats of
-    (i a)_i, and the rows of the (k, 4, 4) right operand the floats of
-    (-i b)_0, b_0, (-i b)_1, b_1.
+    way. So the (k, 2, 4) left operand's row i holds the floats of (i a)_i,
+    and the (k, 4, 4) right operand's rows those of (-i b)_0, b_0, (-i b)_1,
+    b_1: views of f's rows X_r = (x0r, x0i, x1r, x1i) times _LEFT, (iX)_r,
+    and times _RIGHT, [(-iX)_r, X_r]. Each output is one entry times +-1 plus
+    zero terms, exact unless f holds an inf or NaN (inf times 0 is NaN).
     """
-    af, bf = a.view(np.float64), b.view(np.float64)
-    left = np.empty(af.shape)
-    left[..., 0::2] = -af[..., 1::2]
-    left[..., 1::2] = af[..., 0::2]
-    right = np.empty((len(b), 4, 4))
-    right[:, 1::2] = bf
-    right[:, 0::2, 0::2] = bf[..., 1::2]
-    right[:, 0::2, 1::2] = -bf[..., 0::2]
-    return left, right
+    rows = f.reshape(-1, 4)
+    left = (rows @ _LEFT).reshape(-1, 2, 2, 4)[:, 1]
+    right = (rows @ _RIGHT).reshape(-1, 2, 2, 8)[:, 0].reshape(-1, 4, 4)
+    return np.matmul(left, right, out=out)
 
 
 def _ordered_product(m: npt.NDArray[np.complex128]) -> JonesMatrix:
@@ -228,7 +228,7 @@ def _ordered_product(m: npt.NDArray[np.complex128]) -> JonesMatrix:
         half = n // 2
         for lo in range(0, half, _SLAB):
             hi = min(lo + _SLAB, half)
-            np.matmul(*_operands(m[2 * lo + 1 : 2 * hi : 2], m[2 * lo : 2 * hi : 2]), out=f[lo:hi])
+            _pair_products(f[2 * lo : 2 * hi], out=f[lo:hi])
         if n % 2:
             m[half] = m[n - 1]
         n = half + n % 2

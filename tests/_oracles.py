@@ -4,7 +4,8 @@ projective equality, the paper's printed tan-form plate, the nominal
 chain's closed form, the detected intensity behind a plate and behind a
 medium, the spin rate and fluctuation driver of each profile kind, one
 segment's matrix from scalar math calls, the complex pairwise tree of a
-chunk's segments, the exact segment product of a uniformly spun medium, and
+chunk's segments, the real operands of 2 x 2 complex products laid out by
+strided copies, the exact segment product of a uniformly spun medium, and
 a table's content read back from its JSON text.
 
 The two intensity forms follow the chain's two return-pass conventions: a
@@ -149,6 +150,23 @@ def complex_tree_product(alpha, beta):
         paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
         m = np.concatenate([paired, m[-1:]]) if len(m) % 2 else paired
     return m[0]
+
+
+def pair_operands(a, b):
+    """float64 operands whose stacked matmul, viewed as complex128, is a[j] @
+    b[j] for stacks of 2 x 2 complex matrices, built by strided copies: row
+    i of the (k, 2, 4) left operand holds the floats of (i a)_i, and the
+    rows of the (k, 4, 4) right operand those of (-i b)_0, b_0, (-i b)_1,
+    b_1, the layout whose dgemm rounds as OpenBLAS's zgemm."""
+    af, bf = a.view(np.float64), b.view(np.float64)
+    left = np.empty(af.shape)
+    left[..., 0::2] = -af[..., 1::2]
+    left[..., 1::2] = af[..., 0::2]
+    right = np.empty((len(b), 4, 4))
+    right[:, 1::2] = bf
+    right[:, 0::2, 0::2] = bf[..., 1::2]
+    right[:, 0::2, 1::2] = -bf[..., 0::2]
+    return left, right
 
 
 def uniform_spin_product(delta_rad_per_m: float, xi_rad_per_m: float, length_m: float, n: int):

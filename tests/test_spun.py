@@ -291,15 +291,44 @@ def test_zero_spin_products_keep_the_complex_tree_bits(n):
 
 
 def test_pair_products_round_as_complex_matmul():
-    # finite, non-zero entries over a wide range of scales, taken as the
-    # strided halves of one stack, as the tree takes them
+    # finite, non-zero entries over a wide range of scales, paired as the
+    # tree pairs them: item 2j + 1 times item 2j
     rng = np.random.default_rng(28)
     f = rng.normal(size=(2 * 50_000, 2, 4)) * 2.0 ** rng.integers(-60, 61, (2 * 50_000, 2, 4))
     assert np.isfinite(f).all() and f.all()
     m = f.view(np.complex128)
-    a, b = m[1::2], m[0::2]
-    got = np.matmul(*fs.spun._operands(a, b)).view(np.complex128)
-    assert got.tobytes() == np.matmul(a, b).tobytes()
+    got = fs.spun._pair_products(f).view(np.complex128)
+    assert got.tobytes() == np.matmul(m[1::2], m[0::2]).tobytes()
+
+
+@pytest.mark.parametrize("zeros", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_pair_products_keep_the_strided_copy_bits(zeros):
+    """Against operands built by strided copies, on stacks where a share of
+    the entries are +0 or -0 and the rest are scaled by 2^-200, 1 or 2^200:
+    the dgemm-built operands may give a zero the other sign, and no product
+    may show it."""
+    rng = np.random.default_rng(30)
+    for _ in range(16):
+        f = rng.normal(size=(2 * 2048, 2, 4)) * 2.0 ** rng.choice([-200, 0, 200], (2 * 2048, 2, 4))
+        hit = rng.random(f.shape) < zeros
+        f[hit] = rng.choice([0.0, -0.0], hit.sum())
+        m = f.view(np.complex128)
+        want = np.matmul(*_oracles.pair_operands(m[1::2], m[0::2]))
+        assert fs.spun._pair_products(f).tobytes() == want.tobytes()
+
+
+_SLAB = fs.spun._SLAB
+
+
+@pytest.mark.parametrize("slab", [1, 3, 64])
+def test_the_slab_size_does_not_change_the_bits(slab, monkeypatch):
+    # each slab's products overwrite items the later slabs of its level no
+    # longer read, whatever the slab size
+    counts = (2 * _SLAB - 1, 2 * _SLAB + 1, _SUB + 77)
+    want = [total_matrix(DEMO, grid_for(DEMO, n)) for n in counts]
+    monkeypatch.setattr(fs.spun, "_SLAB", slab)
+    for n, w in zip(counts, want):
+        assert total_matrix(DEMO, grid_for(DEMO, n)).tobytes() == w.tobytes(), n
 
 
 @pytest.mark.parametrize("failure", ["exit at once", "no fork", "no pipe"])

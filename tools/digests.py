@@ -14,12 +14,15 @@ on one machine:
 The cases:
 
 * total_matrix and the propagate_trajectory ellipticities of the default,
-  high_order_qwp and spun_fiber media, at segment counts on and around
-  spun's block, sub-block and chunk sizes; past one sub-block,
-  total_matrix shares its sub-block products among forked workers, and
-  ``taskset -c 0`` runs them all in one process; and total_matrix of a
-  zero-spin quarter-wave medium at 64 and 4096 segments, whose exact zeros
-  keep their sign bits in the digest;
+  high_order_qwp and spun_fiber media and of a linear medium with an
+  unspun lead-in, whose segments there carry exact-zero beta, at segment
+  counts on and around spun's block size, the level-0 slab seam of its
+  product trees (2 _SLAB), and its sub-block and chunk sizes; past one
+  sub-block, total_matrix shares its sub-block products among forked
+  workers, and ``taskset -c 0`` runs them all in one process; and
+  total_matrix of a zero-spin quarter-wave medium at 64 and 4096 segments;
+  the exact zeros of the lead-in and zero-spin media keep their sign bits
+  in the digest;
 * run_current_sweep columns behind seeded plates, over currents that
   include fringe nulls, and behind both distributed front ends;
 * seeded 8 x 8, 5 x 4, 1 x 1 and 1 x 7 imperfection scans: their cells,
@@ -35,7 +38,7 @@ A digest of BLAS products can differ between CPUs and BLAS builds, and a
 digest of numpy's transcendental loops between its SIMD targets, so this is
 a tool for comparing trees, not a test; the host line shows when two files
 come from different kernels. It needs numpy only and takes
-about 8 s on a 2-vCPU Xeon.
+about 3 s on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -98,12 +101,16 @@ def _epsilon(fs, medium, grid):
 
 
 def spun_cases(fs, spun):
+    demo = fs.default_demo_medium()
     media = {
-        "default": fs.default_demo_medium(),
+        "default": demo,
         "high_order_qwp": fs.default_high_order_front_end().medium,
         "spun_fiber": fs.default_spun_front_end().medium,
+        # theta is 0 over the lead-in, so its segments' beta is an exact zero
+        "lead_in": replace(demo, profile=fs.SpinProfile("linear", demo.profile.xi_max_rad_per_m, 0.1, 0.15)),
     }
-    counts = sorted({1, 2, 3, 1000} | {k + d for k in (spun._BLOCK, spun._SUB, spun._CHUNK) for d in (-1, 0, 1)})
+    seams = (spun._BLOCK, 2 * spun._SLAB, spun._SUB, spun._CHUNK)
+    counts = sorted({1, 2, 3, 1000} | {k + d for k in seams for d in (-1, 0, 1)})
     for name, medium in media.items():
         for n in counts:
             grid = fs.grid_for(medium, n)
