@@ -11,15 +11,15 @@ with theta_k the spin angle at the segment's left endpoint. The left-endpoint
 rule makes the product error fall off as 1/N, the first-order behavior the
 convergence contract asserts.
 
-Products are evaluated as pairwise trees over fixed-size chunks. Each
-chunk's tree is built from power-of-two sub-blocks aligned to the chunk
-start: every sub-block is reduced on its own, then the sub-block products
-are reduced in order. No pair of the whole-chunk tree crosses a sub-block
-seam, so the grouping, and every bit of the result, are those of one tree
-over the whole chunk, while each process holds one sub-block at a time.
-The sub-block products of a chunk are computed through
-``_fork.ordered_map``. A sub-block's product depends only on its segments,
-so the bits are the same for any worker count.
+Products are evaluated as one pairwise tree over the whole grid, built
+from power-of-two sub-blocks aligned to the grid start: every sub-block is
+reduced on its own, then the sub-block products are reduced in order. No
+pair of the whole-grid tree crosses a sub-block seam, so the grouping, and
+every bit of the result, are those of one tree over all the segments,
+while each process holds one sub-block at a time. The sub-block products
+are computed through ``_fork.ordered_map``, one map per call. A sub-block's
+product depends only on its segments, so the bits are the same for any
+worker count.
 
 Each tree level runs as stacked float64 matmuls of at most _SLAB pairs,
 whose operands (``_pair_products``) make OpenBLAS's dgemm small kernel sum
@@ -34,18 +34,18 @@ strided copies, which unit-scale segment entries never do.
 
 Trajectory scans carry only the Jones state: each segment is the SU(2)
 pair (alpha, beta) of its matrix [[alpha, -conj(beta)], [beta,
-conj(alpha)]], and a blocked scan over fixed-size blocks computes each
-block's total, carries the state across the block totals in order, then
-propagates it through every block at once. Chunk, sub-block and block
-sizes are constants, so results are bit-reproducible regardless of
-platform thread settings. The scan fills the epsilon array of a record
-built before it, so the record checks the z samples once.
+conj(alpha)]]. The scan takes the grid in fixed-size chunks, and within a
+chunk a blocked scan over fixed-size blocks computes each block's total,
+carries the state across the block totals in order, then propagates it
+through every block at once. Chunk, sub-block and block sizes are
+constants, so results are bit-reproducible regardless of platform thread
+settings. The scan fills the epsilon array of a record built before it, so
+the record checks the z samples once.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Literal, get_args
 
@@ -59,9 +59,8 @@ from .jones import JonesMatrix
 
 _CHUNK = 1 << 19
 _BLOCK = 1 << 9
-# a power of two no larger than _CHUNK, or the sub-block trees stop being
-# subtrees of the whole-chunk tree and total_matrix changes in the last bits;
-# so only the grid's end cuts a sub-block short
+# a power of two, or the sub-block trees stop being subtrees of the tree
+# over the whole grid and total_matrix changes in the last bits
 _SUB = 1 << 14
 # pairs per matmul of a product tree, so that its operands stay in cache
 _SLAB = 1 << 11
@@ -235,27 +234,20 @@ def _ordered_product(m: npt.NDArray[np.complex128]) -> JonesMatrix:
     return m[0].copy()
 
 
-def _chunks(spec: SpunMediumSpec, grid: PropagationGrid) -> Iterator[tuple[int, int]]:
-    """In order, the [lo, hi) ranges of at most _CHUNK segments that cover
-    the grid, which must span the medium. The check runs at the call; the
-    ranges are made as they are taken."""
+def _check_span(spec: SpunMediumSpec, grid: PropagationGrid) -> None:
     if abs(grid.total_length_m - spec.total_length_m) > 1e-12 * spec.total_length_m:
         raise ValueError("grid does not cover the medium length")
-    n = grid.n_segments
-    return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
 def total_matrix(spec: SpunMediumSpec, grid: PropagationGrid) -> JonesMatrix:
     """Ordered product of all segment matrices over the grid."""
+    _check_span(spec, grid)
     n = grid.n_segments
 
     def part(a: int) -> JonesMatrix:
         return _ordered_product(_segment_block(spec, n, a, min(a + _SUB, n)))
 
-    out = np.eye(2, dtype=np.complex128)
-    for lo, hi in _chunks(spec, grid):
-        out = _ordered_product(np.stack(list(ordered_map(part, range(lo, hi, _SUB))))) @ out
-    return out
+    return _ordered_product(np.stack(list(ordered_map(part, range(0, n, _SUB)))))
 
 
 @dataclass(frozen=True)
@@ -334,6 +326,7 @@ def propagate_trajectory(
     that the z samples repeat raises NumericDomainError before the scan.
     An unknown metric kind raises ValueError.
     """
+    _check_span(spec, grid)
     if metric_kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
     n = grid.n_segments
@@ -349,7 +342,8 @@ def propagate_trajectory(
     # both metrics read 0 for (1, 0)
     eps[0] = 0.0
     x, y = 1 + 0j, 0j
-    for lo, hi in _chunks(spec, grid):
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
         take = hi - lo
         width = min(_BLOCK, take)
         blocks = -(-take // width)

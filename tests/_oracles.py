@@ -4,7 +4,7 @@ projective equality, the paper's printed tan-form plate, the nominal
 chain's closed form, the detected intensity behind a plate and behind a
 medium, the spin rate and fluctuation driver of each profile kind, one
 segment's matrix from scalar math calls, the complex pairwise tree of a
-chunk's segments, the real operands of 2 x 2 complex products laid out by
+grid's segments, the real operands of 2 x 2 complex products laid out by
 strided copies, the exact segment product of a uniformly spun medium, and
 a table's content read back from its JSON text.
 
@@ -142,7 +142,7 @@ def complex_tree_product(alpha, beta):
     """m[-1] ... m[1] m[0] of the segment matrices m[k] = [[alpha[k],
     beta[k]], [beta[k], conj(alpha[k])]], as a pairwise tree of complex
     np.matmul calls: one zgemm per 2 x 2 item, the grouping and rounding
-    focsim's chunk products must keep bit for bit."""
+    focsim's total_matrix must keep bit for bit over the whole grid."""
     m = np.empty((len(alpha), 2, 2), dtype=np.complex128)
     m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = alpha, beta, beta, alpha.conj()
     while len(m) > 1:

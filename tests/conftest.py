@@ -1,9 +1,12 @@
 """Shared fixtures: the heavyweight campaign results are computed once per
 session and reused by the unit and acceptance layers, with their build time
 carried alongside so runtime budgets can still be asserted; the forks a test
-makes are counted, and no test may leave a child process behind."""
+makes are counted, and no test may leave a child process behind. The session
+header names the host's kernels, on which the bit-for-bit tests hold."""
 
+import importlib.util
 import os
+import pathlib
 import time
 from dataclasses import replace
 
@@ -25,6 +28,15 @@ RATIOS = (1.0, 3.0, 5.0, 10.0)
 CAMPAIGN_SEGMENTS = 1_000_000
 
 CRITERION_RESULTS: dict[int, tuple[bool, str]] = {}
+
+
+def pytest_report_header(config):
+    # loaded by path: tools/ is not a package, and the module sets nothing
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "host.py"
+    spec = importlib.util.spec_from_file_location("focsim_tools_host", path)
+    host = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(host)
+    return host.host_line()
 
 
 @pytest.fixture(scope="session")

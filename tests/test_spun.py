@@ -256,27 +256,48 @@ _SUB = fs.spun._SUB
 _CHUNK = fs.spun._CHUNK
 
 
-@pytest.mark.parametrize("n", [1, _SUB - 1, _SUB, _SUB + 1, 3 * _SUB + 77, _CHUNK + 1])
+# the last two are 3 and 4 chunks and a few segments at the chunk size below
+@pytest.mark.parametrize(
+    "n", [1, _SUB - 1, _SUB, _SUB + 1, 3 * _SUB + 77, _CHUNK + 1, 6 * _SUB + 5, 8 * _SUB + 77]
+)
 def test_sub_block_trees_keep_the_whole_chunk_bits(n, forks, monkeypatch):
-    """total_matrix against one pairwise tree over each whole chunk: the
+    """total_matrix against one pairwise tree over all n segments: the
     sub-block trees must regroup nothing, so the bits are equal, whether
-    1, 2 or 3 usable CPUs share the sub-blocks."""
+    1, 2 or 3 usable CPUs share the sub-blocks. The chunks are the
+    trajectory scan's alone; made small here, they must not show either,
+    as a left fold over four or more chunk products would."""
     spun = fs.spun
+    monkeypatch.setattr(spun, "_CHUNK", 2 * _SUB)
     grid = grid_for(DEMO, n)
-    want = np.eye(2, dtype=np.complex128)
-    sub_blocks = []
-    for lo, hi in spun._chunks(DEMO, grid):
-        want = _oracles.complex_tree_product(*spun._segment_pairs(DEMO, n, lo, hi)) @ want
-        sub_blocks.append(-(-(hi - lo) // _SUB))
+    want = _oracles.complex_tree_product(*spun._segment_pairs(DEMO, n, 0, n))
     for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         del forks[:]
         assert np.array_equal(total_matrix(DEMO, grid), want), cpus
-        # each chunk forks a worker per usable CPU and sub-block but the first
-        assert len(forks) == sum(min(cpus, b) - 1 for b in sub_blocks), cpus
+        # one map over the sub-blocks: a worker per usable CPU and sub-block but the first
+        assert len(forks) == min(cpus, -(-n // _SUB)) - 1, cpus
 
 
 ZERO_SPIN = fs.SpunMediumSpec(0.02, (0.5 * math.pi) / 0.02, fs.SpinProfile("constant", 0.0))
+ONE_SEGMENT_MEDIA = {
+    "default": DEMO,
+    "high_order_qwp": fs.default_high_order_front_end().medium,
+    "spun_fiber": fs.default_spun_front_end().medium,
+    # theta is 0 over the lead-in, so beta is an exact zero there
+    "lead_in": dataclasses.replace(
+        DEMO, profile=fs.SpinProfile("linear", DEMO.profile.xi_max_rad_per_m, 0.1, 0.15)
+    ),
+    "zero_spin": ZERO_SPIN,
+}
+
+
+@pytest.mark.parametrize("name", ONE_SEGMENT_MEDIA)
+def test_one_segment_is_its_own_product(name):
+    # no identity multiplies in, which could give an exact zero a new sign
+    spec = ONE_SEGMENT_MEDIA[name]
+    (alpha,), (beta,) = fs.spun._segment_pairs(spec, 1, 0, 1)
+    want = np.array([[alpha, beta], [beta, alpha.conjugate()]])
+    assert total_matrix(spec, grid_for(spec, 1)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [64, 4096])
@@ -285,7 +306,7 @@ def test_zero_spin_products_keep_the_complex_tree_bits(n):
     sign bits included, against the complex tree."""
     alpha, beta = fs.spun._segment_pairs(ZERO_SPIN, n, 0, n)
     assert not beta.view(np.float64).any()
-    want = _oracles.complex_tree_product(alpha, beta) @ np.eye(2, dtype=np.complex128)
+    want = _oracles.complex_tree_product(alpha, beta)
     got = total_matrix(ZERO_SPIN, grid_for(ZERO_SPIN, n))
     assert got.tobytes() == want.tobytes()
 
@@ -396,14 +417,6 @@ def test_total_matrix_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-
-
-def test_chunk_ranges_are_made_as_they_are_taken():
-    # 2^62 segments make 2^43 ranges; only the first is ever built here
-    grid = fs.PropagationGrid(2**62, DEMO.total_length_m)
-    assert next(iter(fs.spun._chunks(DEMO, grid))) == (0, _CHUNK)
-    with pytest.raises(ValueError, match="does not cover"):
-        fs.spun._chunks(DEMO, fs.PropagationGrid(2**62, 2.0 * DEMO.total_length_m))
 
 
 def test_left_endpoint_rule_refines_at_first_order(demo_reference):

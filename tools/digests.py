@@ -3,9 +3,9 @@
 Each digest covers the dtype, shape and raw bytes of every array a case
 returns, so sign bits and NaN payloads count as they are stored; a CLI case
 covers its exit code and the exact bytes it writes. Cases print in a fixed
-order after one ``host`` line (numpy's version, its enabled SIMD dispatch
-targets and the OpenBLAS core), so comparing two trees is a diff of two runs
-on one machine:
+order after one ``host`` line (``tools/host.py``: numpy's version, its
+enabled SIMD dispatch targets and the OpenBLAS core), so comparing two
+trees is a diff of two runs on one machine:
 
     python tools/digests.py --src /path/to/other/src > other.txt
     python tools/digests.py > this.txt
@@ -17,10 +17,12 @@ The cases:
   high_order_qwp and spun_fiber media and of a linear medium with an
   unspun lead-in, whose segments there carry exact-zero beta, at segment
   counts on and around spun's block size, the level-0 slab seam of its
-  product trees (2 _SLAB), and its sub-block and chunk sizes; past one
-  sub-block, total_matrix shares its sub-block products among forked
-  workers, and ``taskset -c 0`` runs them all in one process; and
-  total_matrix of a zero-spin quarter-wave medium at 64 and 4096 segments;
+  product trees (2 _SLAB), its sub-block size and its chunk size, a seam
+  of the trajectory scan only (total_matrix is one tree over the whole
+  grid); past one sub-block, total_matrix shares its sub-block products
+  among forked workers, and ``taskset -c 0`` runs them all in one
+  process; and total_matrix of a zero-spin quarter-wave medium at 64 and
+  4096 segments;
   the exact zeros of the lead-in and zero-spin media keep their sign bits
   in the digest;
 * run_current_sweep columns behind seeded plates, over currents that
@@ -51,7 +53,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
-import ctypes  # noqa: E402
 import functools  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -63,24 +64,9 @@ import tempfile  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
+from host import host_line  # noqa: E402
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-
-
-def host_line() -> str:
-    """numpy's version, its enabled SIMD dispatch targets and the core its
-    bundled OpenBLAS runs (``unknown`` where that library has no
-    ``scipy_openblas_get_corename64_``)."""
-    from numpy._core import _multiarray_umath as umath
-
-    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
-    # dlsym through numpy's own extension also searches the BLAS it links
-    corename = getattr(ctypes.CDLL(umath.__file__), "scipy_openblas_get_corename64_", None)
-    core = "unknown"
-    if corename is not None:
-        corename.argtypes, corename.restype = (), ctypes.c_char_p
-        core = corename().decode()
-    return f"host numpy={np.__version__} simd={','.join(simd)} openblas={core}"
 
 
 def digest(*values) -> str:
