@@ -46,7 +46,6 @@ from .experiments import (
     FrontEnd,
     PerturbationResult,
     SweepResult,
-    XiSweepResult,
     device_delta,
     front_end_high_order,
     front_end_imperfect,
@@ -100,7 +99,6 @@ __all__ = [
     "FrontEnd",
     "PerturbationResult",
     "SweepResult",
-    "XiSweepResult",
     "default_demo_medium",
     "default_high_order_front_end",
     "default_spun_front_end",

@@ -91,8 +91,8 @@ def _sweep_xi(cfg: AppConfig) -> ResultTable:
     rows = []
     for kind in cfg.xi_sweep.profiles:
         medium = replace(cfg.medium, profile=replace(cfg.medium.profile, kind=kind)).build()
-        res = run_xi_sweep(medium, cfg.xi_sweep.ratios, cfg.xi_sweep.n_segments)
-        rows.extend((kind, *astuple(r)) for r in res.rows)
+        xi_rows = run_xi_sweep(medium, cfg.xi_sweep.ratios, cfg.xi_sweep.n_segments)
+        rows.extend((kind, *astuple(r)) for r in xi_rows)
     return ResultTable.from_rows(
         columns=("profile", *_names(XiSweepRow)),
         rows=tuple(rows),

@@ -231,18 +231,12 @@ class XiSweepRow:
     ripple_flagged: bool
 
 
-@dataclass(frozen=True)
-class XiSweepResult:
-    profile_kind: str
-    rows: tuple[XiSweepRow, ...]
-
-
 def run_xi_sweep(
     base_medium: SpunMediumSpec,
     ratios: tuple[float, ...],
     n_segments: int,
-) -> XiSweepResult:
-    """Adiabaticity scan: one trajectory per spin-rate-to-birefringence ratio."""
+) -> tuple[XiSweepRow, ...]:
+    """Adiabaticity scan: one row per spin-rate-to-birefringence ratio."""
 
     def one(ratio: float):
         profile = replace(
@@ -261,10 +255,7 @@ def run_xi_sweep(
             ripple_flagged=settled.delta_eps_pp > RIPPLE_FLAG_PP,
         )
 
-    return XiSweepResult(
-        profile_kind=base_medium.profile.kind,
-        rows=tuple(one(r) for r in ratios),
-    )
+    return tuple(one(r) for r in ratios)
 
 
 @dataclass(frozen=True)
@@ -353,7 +344,6 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceResult:
     rows: tuple[ConvergenceRow, ...]
-    reference_n: int
 
     def ratios(self) -> tuple[float, ...]:
         """Each rung's deviation over the next one's."""
@@ -380,7 +370,4 @@ def run_convergence_ladder(
         m = total_matrix(medium, grid_for(medium, n))
         return ConvergenceRow(n, float(np.max(np.abs(m - ref))))
 
-    return ConvergenceResult(
-        rows=tuple(one(n) for n in segment_counts),
-        reference_n=reference_n,
-    )
+    return ConvergenceResult(tuple(one(n) for n in segment_counts))

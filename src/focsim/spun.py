@@ -263,7 +263,6 @@ class EllipticityTrajectory:
 
     z_m: npt.NDArray[np.float64]
     epsilon: npt.NDArray[np.float64]
-    metric_kind: MetricKind
     settle_z_m: float
 
     def __post_init__(self):
@@ -332,9 +331,7 @@ def propagate_trajectory(
     n = grid.n_segments
     z_m, epsilon = grid.z_samples(), np.empty(n + 1, dtype=np.float64)
     try:
-        traj = EllipticityTrajectory(
-            z_m, epsilon, metric_kind, min(spec.settle_z_m, spec.total_length_m)
-        )
+        traj = EllipticityTrajectory(z_m, epsilon, min(spec.settle_z_m, spec.total_length_m))
     except ValueError as exc:
         # dz > 0 is not enough: linspace over a few subnormals repeats values
         raise NumericDomainError("segment length underflows: z samples repeat") from exc

@@ -93,10 +93,9 @@ def xi_table():
     start = time.perf_counter()
     rows = {}
     for kind in ("linear", "cosine"):
-        res = fs.run_xi_sweep(
+        for row in fs.run_xi_sweep(
             medium_with_profile(kind, RATIOS[0]), RATIOS, CAMPAIGN_SEGMENTS
-        )
-        for row in res.rows:
+        ):
             rows[(kind, row.xi_over_delta)] = row
     return rows, time.perf_counter() - start
 

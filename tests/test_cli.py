@@ -85,7 +85,6 @@ def test_sweep_xi_bytes_match_the_library_call():
     medium = replace(
         cfg.medium, profile=replace(cfg.medium.profile, kind="cosine")
     ).build()
-    res = fs.run_xi_sweep(medium, (1.0, 3.0), 20000)
     rows = tuple(
         (
             "cosine",
@@ -97,7 +96,7 @@ def test_sweep_xi_bytes_match_the_library_call():
             r.conversion_length_m,
             r.ripple_flagged,
         )
-        for r in res.rows
+        for r in fs.run_xi_sweep(medium, (1.0, 3.0), 20000)
     )
     want = render(
         ResultTable.from_rows(

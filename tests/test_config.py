@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import focsim as fs
+from focsim import cli
 from focsim.config import (
     FrontEndConfig,
     default_config,
@@ -112,12 +113,19 @@ def test_constants_block_must_match_the_build():
     with pytest.raises(ConfigError) as e:
         parse_config({"constants": {"coil_turns": 355}})
     assert _path_of(e) == "constants.coil_turns"
+    with pytest.raises(ConfigError, match="^constants: expected an object$"):
+        parse_config({"constants": []})
+    with pytest.raises(ConfigError, match="^constants.coil_turns.extra: unknown key$"):
+        parse_config({"constants": {"coil_turns": {"value": 355, "extra": 1}}})
 
 
 def test_value_constraints():
     with pytest.raises(ConfigError) as e:
         parse_config({"trajectory": {"stride": 0}})
     assert _path_of(e) == "trajectory.stride"
+    # an integer float() cannot hold reads as infinite
+    with pytest.raises(ConfigError, match="^coil.current_a: expected a finite number$"):
+        parse_config({"coil": {"current_a": 10**400}})
     with pytest.raises(ConfigError) as e:
         parse_config({"current_sweep": {"points": 1}})
     assert _path_of(e) == "current_sweep.points"
@@ -203,7 +211,7 @@ def test_partial_front_end_profile_keeps_the_device_defaults():
     )
 
 
-def test_medium_geometry_fails_at_build_with_the_section_path():
+def test_medium_geometry_fails_at_build_with_the_section_path(tmp_path, capsys):
     cfg = parse_config({"medium": {"total_length_m": 0.01}})  # shorter than L2
     with pytest.raises(ConfigError) as e:
         cfg.medium.build()
@@ -214,6 +222,24 @@ def test_medium_geometry_fails_at_build_with_the_section_path():
     with pytest.raises(ConfigError) as e:
         cfg.front_end.build()
     assert _path_of(e) == "front_end.medium"
+    # a valid medium whose profile the front-end kind does not take fails
+    # in FrontEnd, not in SpinProfile, with the same section path
+    p = tmp_path / "run.json"
+    for kind, profile, message in (
+        ("spun_fiber", {"kind": "cosine", "transition_l2_m": 0.01},
+         "spun_fiber needs a constant spin profile"),
+        ("high_order_qwp", {"kind": "constant"}, "high_order_qwp needs a ramped spin profile"),
+    ):
+        doc = {"front_end": {"kind": kind, "medium": {"profile": profile}}}
+        cfg = parse_config(doc)
+        cfg.front_end.medium.build("front_end.medium")
+        with pytest.raises(ConfigError) as e:
+            cfg.front_end.build()
+        assert (_path_of(e), str(e.value)) == ("front_end.medium", f"front_end.medium: {message}")
+        p.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--config", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"focsim: config error: front_end.medium: {message}\n")
 
 
 def test_serialize_parse_is_a_fixed_point():

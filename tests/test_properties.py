@@ -278,8 +278,7 @@ def ripple_rows():
     """All eight profile/rate ripple cells on a 200k-segment grid."""
     rows = {}
     for kind in ("linear", "cosine"):
-        res = fs.run_xi_sweep(medium_with_profile(kind, RATIOS[0]), RATIOS, 200_000)
-        for row in res.rows:
+        for row in fs.run_xi_sweep(medium_with_profile(kind, RATIOS[0]), RATIOS, 200_000):
             rows[kind, row.xi_over_delta] = row
     return rows
 

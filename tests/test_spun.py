@@ -630,21 +630,21 @@ def test_grid_must_span_the_medium():
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         fs.EllipticityTrajectory(
-            np.array([0.0, 1.0]), np.array([0.0, 0.1, 0.2]), "principal", 0.0
+            np.array([0.0, 1.0]), np.array([0.0, 0.1, 0.2]), 0.0
         )
     with pytest.raises(ValueError):
         fs.EllipticityTrajectory(
-            np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.1, 0.2]), "principal", 0.0
+            np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.1, 0.2]), 0.0
         )
     # np.diff gives [inf, nan] here, and nan <= 0 is false
     with pytest.raises(ValueError):
         fs.EllipticityTrajectory(
-            np.array([0.0, np.inf, np.inf]), np.array([0.0, 0.1, 0.2]), "principal", 0.0
+            np.array([0.0, np.inf, np.inf]), np.array([0.0, 0.1, 0.2]), 0.0
         )
     # and a NaN sample compares false with both neighbours
     with pytest.raises(ValueError, match="z samples must strictly increase"):
         fs.EllipticityTrajectory(
-            np.array([0.0, np.nan, 1.0]), np.array([0.0, 0.1, 0.2]), "principal", 0.0
+            np.array([0.0, np.nan, 1.0]), np.array([0.0, 0.1, 0.2]), 0.0
         )
 
 
@@ -680,7 +680,7 @@ def test_axis_ratio_metric_marks_undefined_samples():
     assert np.all(np.isfinite(fs.spun._eps_from_states(ex, ey, "principal")))
     # a record of nothing but gap markers has no samples to measure
     z = np.linspace(0.0, 1.0, 64)
-    gaps = fs.EllipticityTrajectory(z, np.full(64, np.nan), "axis_ratio", 0.0)
+    gaps = fs.EllipticityTrajectory(z, np.full(64, np.nan), 0.0)
     with pytest.raises(NumericDomainError, match="fewer than two samples"):
         stability_metrics(gaps)
 
@@ -689,8 +689,8 @@ def test_stability_metrics_skip_gap_samples():
     z = np.linspace(0.0, 1.0, 11)
     eps = np.linspace(0.2, 0.4, 11)
     eps[5] = np.nan
-    clean = fs.EllipticityTrajectory(np.delete(z, 5), np.delete(eps, 5), "axis_ratio", 0.0)
-    gappy = fs.EllipticityTrajectory(z, eps, "axis_ratio", 0.0)
+    clean = fs.EllipticityTrajectory(np.delete(z, 5), np.delete(eps, 5), 0.0)
+    gappy = fs.EllipticityTrajectory(z, eps, 0.0)
     assert stability_metrics(gappy) == stability_metrics(clean)
 
 
@@ -699,21 +699,21 @@ def test_stability_metrics_read_the_settled_span():
     settle = float(z[400])
     # a ramp up to the settle point, then a small ripple
     eps = np.where(z < settle, z, 0.4 + 0.01 * np.sin(40.0 * z))
-    traj = fs.EllipticityTrajectory(z, eps, "principal", settle)
+    traj = fs.EllipticityTrajectory(z, eps, settle)
     keep = z >= settle
-    cut = fs.EllipticityTrajectory(z[keep], eps[keep], "principal", 0.0)
+    cut = fs.EllipticityTrajectory(z[keep], eps[keep], 0.0)
     assert stability_metrics(traj) == stability_metrics(cut)
-    whole = fs.EllipticityTrajectory(z, eps, "principal", 0.0)
+    whole = fs.EllipticityTrajectory(z, eps, 0.0)
     assert stability_metrics(whole).delta_eps_pp > stability_metrics(traj).delta_eps_pp
     for past in (1.0, 2.0):
-        late = fs.EllipticityTrajectory(z, eps, "principal", past)
+        late = fs.EllipticityTrajectory(z, eps, past)
         with pytest.raises(NumericDomainError, match="fewer than two samples"):
             stability_metrics(late)
 
 
 def test_stability_metrics_match_analytic_ramp():
     z = np.linspace(0.0, 1.0, 200_001)
-    traj = fs.EllipticityTrajectory(z, z.copy(), "principal", 0.0)
+    traj = fs.EllipticityTrajectory(z, z.copy(), 0.0)
     m = stability_metrics(traj)
     assert m.mean_eps == pytest.approx(0.5, rel=1e-9)
     assert m.rms_eps == pytest.approx(math.sqrt(1.0 / 12.0), rel=1e-6)
@@ -722,9 +722,9 @@ def test_stability_metrics_match_analytic_ramp():
 
 def test_conversion_length_first_crossing():
     z = np.linspace(0.0, 1.0, 101)
-    traj = fs.EllipticityTrajectory(z, z.copy(), "principal", 0.0)
+    traj = fs.EllipticityTrajectory(z, z.copy(), 0.0)
     assert conversion_length(traj) == pytest.approx(0.95, abs=1e-12)
-    low = fs.EllipticityTrajectory(z, 0.5 * z, "principal", 0.0)
+    low = fs.EllipticityTrajectory(z, 0.5 * z, 0.0)
     assert conversion_length(low) is None
 
 
