@@ -231,9 +231,10 @@ def roundtrip_fields(
     The chain polarizer @ splice45_out @ q_out @ r @ r @ q_in @ splice45_in
     is multiplied left to right with every 2x2 product of a single pass, but
     each factor shared by many items is applied in one matmul over those
-    items side by side: P plates at n angles take 2P + n + 3 BLAS calls. A
-    converter pair stacked as (P, 1, 2, 2) gives fields (P, n, 2), each
-    slice equal to that converter's own call. The inbound polarizer passes
+    items side by side: P plates at n angles take 2P + n + 3 BLAS calls
+    (detected_intensity adds the ideal pair as plate P + 1). A converter
+    pair stacked as (P, 1, 2, 2) gives fields (P, n, 2), each slice equal
+    to that converter's own call. The inbound polarizer passes
     the unit launch field (1, 0) unchanged, so the detector field is the
     first column of the rest of the chain.
     """
@@ -285,11 +286,17 @@ def detected_intensity(
     (qwp_ideal_in(), qwp_ideal_out()). Every field of the result is an
     array over the coil's angles, and fringe-null rows hold NaN in i_out
     and relative_error_pct. A converter pair stacked as (P, 1, 2, 2) gives
-    (P, n) arrays of those two against one evaluation of the ideal chain.
+    (P, n) arrays of those two against one ideal row. Both come from one
+    stacked chain evaluation with the printed pair as its last converter;
+    each slice equals that converter's own call (roundtrip_fields).
     """
     f = coil.rotation_angle_f_rad
-    i_out = _intensities(roundtrip_fields(converter, f))
-    i_ideal = _intensities(roundtrip_fields((qwp_ideal_in(), qwp_ideal_out()), f))
+    stack = tuple(
+        np.concatenate((np.reshape(q, (-1, 1, 2, 2)), ideal()[np.newaxis, np.newaxis]))
+        for q, ideal in zip(converter, (qwp_ideal_in, qwp_ideal_out))
+    )
+    i = _intensities(roundtrip_fields(stack, f))
+    i_out, i_ideal = i[:-1].reshape(np.shape(converter[0])[:-3] + (len(f),)), i[-1]
     null = i_ideal < FRINGE_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         err = (i_out - i_ideal) / i_ideal * 100.0

@@ -3,7 +3,8 @@
 Each runner is a pure function from a frozen parameter record to an
 immutable result, evaluated serially in a fixed order. A current sweep is
 one detected_intensity call on a coil swept over all its currents
-(elements.roundtrip_fields batches the chain over them). An imperfection
+(elements.roundtrip_fields batches the chain over them, with the printed
+ideal pair as the last stacked converter). An imperfection
 scan builds its plates' converter pairs as one (P, 2, 2) stack
 (elements.plate_converter_pairs: one mounting product per plate on each
 side, one conjugate) and makes one call over plates x currents.

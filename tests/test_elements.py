@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import focsim as fs
-from focsim.elements import _intensities, plate_converter_pairs, roundtrip_fields
+from focsim.elements import FRINGE_FLOOR, _intensities, plate_converter_pairs, roundtrip_fields
 from focsim.errors import NumericDomainError
 
 import _frozen
@@ -207,6 +207,41 @@ def test_swept_coil_matches_single_angles():
         assert np.array_equal(rs.i_ideal, one.i_ideal)
         assert np.array_equal(rs.relative_error_pct[p], one.relative_error_pct, equal_nan=True)
         assert np.array_equal(roundtrip_fields(stacked, f)[p], roundtrip_fields(pair, f))
+
+
+def test_ideal_row_matches_a_separate_ideal_chain():
+    # the printed pair rides as the last stacked converter; every field must
+    # equal separate evaluations of the converter and of the ideal chain
+    rng = np.random.default_rng(33)
+    f201 = np.linspace(0.0, 0.7, 201)
+    f201[57] = math.pi / 4  # a fringe null
+    ideal = (fs.qwp_ideal_in(), fs.qwp_ideal_out())
+    plates = [fs.ImperfectWaveplate(rng.uniform(0.5, 2.6), rng.uniform(-0.4, 0.4))
+              for _ in range(63)] + [fs.ImperfectWaveplate.nominal()]
+    pairs = [fs.front_end_imperfect(w).converter_pair() for w in plates]
+    bare = pairs[0]
+    one, stack64 = (tuple(np.stack(m)[:, np.newaxis] for m in zip(*ps)) for ps in (pairs[:1], pairs))
+    for converter, shape in ((bare, ()), (one, (1,)), (stack64, (64,))):
+        for f in (f201, np.array([math.pi / 4]), np.array([])):
+            r = fs.detected_intensity(fs.FaradayCoil(f), converter)
+            i_ideal = _intensities(roundtrip_fields(ideal, f))
+            i_out = _intensities(roundtrip_fields(converter, f))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                err = (i_out - i_ideal) / i_ideal * 100.0
+            null = i_ideal < FRINGE_FLOOR
+            i_out[..., null] = err[..., null] = np.nan
+            assert r.i_out.shape == r.relative_error_pct.shape == shape + (len(f),)
+            assert np.array_equal(r.i_ideal, i_ideal)
+            assert np.array_equal(r.i_out, i_out, equal_nan=True), (shape, len(f))
+            assert np.array_equal(r.relative_error_pct, err, equal_nan=True), (shape, len(f))
+            assert null.any() == (len(f) > 0)
+            if shape:  # each stacked row is that converter's own call
+                for p in range(shape[0]):
+                    own = fs.detected_intensity(fs.FaradayCoil(f), pairs[p])
+                    assert np.array_equal(r.i_out[p], own.i_out, equal_nan=True)
+                    assert np.array_equal(r.relative_error_pct[p], own.relative_error_pct,
+                                          equal_nan=True)
+                    assert np.array_equal(r.i_ideal, own.i_ideal)
 
 
 def _oracle_fields(q_in, q_out, f):
